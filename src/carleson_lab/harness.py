@@ -12,8 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,14 +168,7 @@ def corpus_scan(mu: RadialMeasure, count: int, seed: int = 42, n_max: int = 64,
             return float(adapted_ineq_ratio(u, mu, pair, m=m, tol=tol, max_iters=max_iters))
         return float(embedding_ratio(u, mu, m=m, tol=tol, max_iters=max_iters))
 
-    # per-sample RNG streams are independent, so the report does not depend
-    # on scheduling; CARLESON_LAB_THREADS caps the worker pool (default 1)
-    workers = max(1, int(os.environ.get("CARLESON_LAB_THREADS", "1")))
-    if workers == 1:
-        ratios = [one(i) for i in range(count)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ratios = list(pool.map(one, range(count)))
+    ratios = [one(i) for i in range(count)]
     return InequalityReport(
         ratios=tuple(ratios),
         max_ratio=max(ratios),

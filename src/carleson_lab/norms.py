@@ -118,6 +118,10 @@ def analyze_w_sigma_errors(mu: RadialMeasure, m: int = 4096, n_max: int = 64) ->
     are added back (singularity subtraction).  c is read off the measure's
     density at r = 1, never from sigma_n, so the check stays independent of
     the moments it verifies.
+
+    Open case: pieces (1-r)^p dr with small p > 0 reaching r = 1 give w_sigma
+    a cusp at theta = 0, not a jump, so nothing is subtracted and the error
+    stays above 1e-6 (5.7e-6 at p = 0.01, m = 4096, n_max = 64).
     """
     from .fourier import analyze
 

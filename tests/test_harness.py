@@ -107,13 +107,6 @@ def test_corpus_scan_deterministic(lebesgue):
     assert a.max_ratio == max(a.ratios)
 
 
-def test_corpus_scan_threaded_matches_sequential(lebesgue, monkeypatch):
-    seq = corpus_scan(lebesgue, 4, n_max=8, **FAST)
-    monkeypatch.setenv("CARLESON_LAB_THREADS", "3")
-    par = corpus_scan(lebesgue, 4, n_max=8, **FAST)
-    assert par == seq
-
-
 def test_corpus_scan_doubling_is_monotone(lebesgue):
     small = corpus_scan(lebesgue, 3, n_max=8, **FAST)
     big = corpus_scan(lebesgue, 6, n_max=8, **FAST)

@@ -1,14 +1,17 @@
-"""Unit tests for the certified sum-space norm solver, including the
-independent convex-programming oracle on small instances."""
+"""Unit tests for the certified sum-space norm solver, including two
+independent oracles on small instances: a cvxpy second-order-cone program
+(skipped where cvxpy is missing) and an SLSQP solve of the smooth dual."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from carleson_lab.fourier import CoeffVector, GridFunction, synthesize
-from carleson_lab.measures import RadialMeasure, atom_disk, lebesgue_disk, moment_array
-from carleson_lab.norms import hmu_norm
+from carleson_lab.fourier import CoeffVector, GridFunction, adapted_pair, multiplier, synthesize
+from carleson_lab.harness import random_poly
+from carleson_lab.measures import RadialMeasure, atom_disk, lebesgue_disk, moment_array, power_disk
+from carleson_lab.norms import hmu_norm, l2_norm
 from carleson_lab.sumnorm import dual_bound, dual_hmu, sum_norm
 
 from conftest import random_coeff_vector, rng_for
@@ -30,6 +33,42 @@ def socp_oracle(u: CoeffVector, mu: RadialMeasure, m: int) -> float:
     prob = cp.Problem(cp.Minimize(obj))
     prob.solve(solver=cp.CLARABEL)
     return float(prob.value)
+
+
+def slsqp_dual_oracle(u: CoeffVector, mu: RadialMeasure, m: int) -> float:
+    """Independent small-instance solve of the smooth dual of the
+    discretized sum-space norm,
+
+        max Re<u, psi>/m  subject to  |psi_k| <= 1  and  ||D^-1 S* psi / m|| <= 1,
+
+    by SLSQP over the real and imaginary parts of psi, with dense synthesis
+    matrices instead of FFTs."""
+    n_max = u.n_max
+    ns = np.arange(-n_max, n_max + 1)
+    d = np.sqrt(2.0 * math.pi * moment_array(mu, n_max)[np.abs(ns)])
+    theta = 2.0 * math.pi * np.arange(m) / m
+    S = np.exp(1j * np.outer(theta, ns))
+    ug = S @ u.coeffs
+    A = S.conj().T / (m * d[:, None])  # psi -> D^-1 psi_hat
+    grad = -np.concatenate([ug.real, ug.imag]) / m
+
+    def psi(x):
+        return x[:m] + 1j * x[m:]
+
+    def weighted(x):
+        w = A @ psi(x)
+        g = A.conj().T @ w
+        return 1.0 - float(np.vdot(w, w).real), -2.0 * np.concatenate([g.real, g.imag])
+
+    cons = [
+        {"type": "ineq", "fun": lambda x: 1.0 - x[:m] ** 2 - x[m:] ** 2,
+         "jac": lambda x: -2.0 * np.hstack([np.diag(x[:m]), np.diag(x[m:])])},
+        {"type": "ineq", "fun": lambda x: weighted(x)[0], "jac": lambda x: weighted(x)[1]},
+    ]
+    res = minimize(lambda x: float(grad @ x), np.zeros(2 * m), jac=lambda x: grad,
+                   constraints=cons, method="SLSQP", options={"ftol": 1e-14, "maxiter": 1000})
+    assert res.success, res.message
+    return -float(res.fun)
 
 
 def test_zero_input(lebesgue):
@@ -73,6 +112,60 @@ def test_oracle_brackets_certificate(lebesgue):
         # slack covers the interior-point oracle's own convergence tolerance
         slack = 1e-6 * max(1.0, ref)
         assert cert.lower - slack <= ref <= cert.upper + slack
+
+
+def test_scipy_oracle_brackets_certificate(lebesgue):
+    # the instances of test_oracle_brackets_certificate, against the dual oracle
+    for i in range(6):
+        rng = rng_for(100 + i)
+        n_max = int(rng.integers(1, 3))
+        m = int(rng.integers(2 * n_max + 1, 17))
+        u = random_coeff_vector(rng, n_max)
+        cert = sum_norm(u, lebesgue, m=m, tol=5e-5)
+        ref = slsqp_dual_oracle(u, lebesgue, m)
+        assert cert.lower - 1e-6 <= ref <= cert.upper + 1e-6
+
+
+def test_certificate_ordered_at_exact_optimum(lebesgue):
+    """Inputs whose optimum the solver reaches exactly: the weak-duality value
+    of the dual witness can land an ulp above the upper bound.  The
+    certificate stays ordered and its witness still recomputes to lower."""
+    cases = [(random_poly(1452041910, i, n), lebesgue, m, 5e-5)
+             for i, n, m in ((5, 1, 3), (8, 1, 12), (26, 1, 10), (29, 1, 13))]
+    mu = power_disk(1.0)
+    pair = adapted_pair(mu, 64)
+    for i in (4, 5):
+        u = random_poly(7, i, 64)
+        v = multiplier(CoeffVector(64, u.coeffs / l2_norm(u)), pair.a)
+        cases += [(v, mu, 512, 1e-3), (multiplier(v, pair.b), mu, 512, 1e-3)]
+    for u, mu, m, tol in cases:
+        cert = sum_norm(u, mu, m=m, tol=tol)
+        assert cert.converged
+        assert cert.lower <= cert.upper
+        assert dual_bound(u, cert.dual_witness, mu) == pytest.approx(cert.lower, rel=1e-9)
+
+
+def test_truncated_singular_weight_converges_fast():
+    # both adapted-pair vectors of one (1-r)^{-1/2} dr on [0, 0.9) sample at the
+    # criterion-5 settings; ADMM needs a few hundred iterations here
+    mu = RadialMeasure(pieces=((0.0, 0.9, 1.0, -0.5, 0.0),))
+    pair = adapted_pair(mu, 64)
+    u = random_poly(42, 0, 64)
+    v = multiplier(CoeffVector(64, u.coeffs / l2_norm(u)), pair.a)
+    for x in (v, multiplier(v, pair.b)):
+        cert = sum_norm(x, mu, m=512, tol=1e-3, max_iters=2000)
+        assert cert.converged
+
+
+def test_zero_moments_free_modes():
+    # an atom of mass w at the origin has sigma_n = 0 for n != 0: those modes
+    # cost nothing and the norm is min(sqrt(2*pi*w), 1) |u_0|
+    u = random_poly(1, 0, 4)
+    for w in (0.05, 1.0):
+        cert = sum_norm(u, RadialMeasure(atoms=((0.0, w),)), m=16, tol=1e-4, max_iters=2000)
+        exact = min(math.sqrt(2.0 * math.pi * w), 1.0) * abs(u[0])
+        assert cert.lower <= exact * (1.0 + 1e-12)
+        assert cert.upper == pytest.approx(exact, rel=1e-4)
 
 
 def test_upper_bounded_by_single_routes(lebesgue):
