@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import RadialMeasure, log_moment_array, moment_array
+from .measures import RadialMeasure, log_moment_array
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,9 @@ class CoeffVector:
         return cls(n_max, np.zeros(2 * n_max + 1, dtype=complex))
 
     @classmethod
-    def basis(cls, n: int, n_max: int | None = None) -> "CoeffVector":
-        """The basis element e_n."""
-        n_max = abs(n) if n_max is None else n_max
+    def basis(cls, n: int) -> "CoeffVector":
+        """The basis element e_n, of degree |n|."""
+        n_max = abs(n)
         c = np.zeros(2 * n_max + 1, dtype=complex)
         c[n + n_max] = 1.0
         return cls(n_max, c)
@@ -76,11 +76,11 @@ class CoeffVector:
 
     __rmul__ = __mul__
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.coeffs)) <= tol)
+    def is_zero(self) -> bool:
+        return not np.any(self.coeffs)
 
-    def is_analytic(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.coeffs[: self.n_max]), initial=0.0) <= tol)
+    def is_analytic(self) -> bool:
+        return not np.any(self.coeffs[: self.n_max])
 
     def to_dict(self) -> dict:
         return {
@@ -118,8 +118,7 @@ def synthesize(u: CoeffVector, m: int) -> GridFunction:
     if m < 2 * u.n_max + 1:
         raise ValueError(f"m={m} too small for degree {u.n_max}; need m >= {2 * u.n_max + 1}")
     spread = np.zeros(m, dtype=complex)
-    for n, c in zip(u.ns, u.coeffs):
-        spread[n % m] += c
+    spread[u.ns % m] = u.coeffs  # distinct slots, as m >= 2N+1
     return GridFunction(np.fft.ifft(spread) * m)
 
 
@@ -130,15 +129,6 @@ def analyze(g: GridFunction, n_max: int) -> CoeffVector:
     hat = np.fft.fft(g.samples) / g.m
     ns = np.arange(-n_max, n_max + 1)
     return CoeffVector(n_max, hat[ns % g.m])
-
-
-def _synthesize_direct(u: CoeffVector, m: int) -> GridFunction:
-    """Direct-summation oracle for the fast transform."""
-    theta = 2.0 * math.pi * np.arange(m) / m
-    vals = np.zeros(m, dtype=complex)
-    for n, c in zip(u.ns, u.coeffs):
-        vals += c * np.exp(1j * n * theta)
-    return GridFunction(vals)
 
 
 def evaluate(u: CoeffVector, z: complex) -> complex:
@@ -175,74 +165,50 @@ def analytic_projection(u: CoeffVector) -> CoeffVector:
     return CoeffVector(u.n_max, c)
 
 
-def multiplier(u: CoeffVector, symbol) -> CoeffVector:
-    """Fourier multiplier: c_n -> a(n) c_n.
-
-    The symbol may be a dict n -> complex (must cover [-N, N]) or a callable.
-    """
-    if callable(symbol):
-        a = np.array([symbol(int(n)) for n in u.ns], dtype=complex)
-    else:
-        try:
-            a = np.array([symbol[int(n)] for n in u.ns], dtype=complex)
-        except KeyError as exc:
-            raise ValueError(f"symbol missing index {exc.args[0]}") from exc
+def multiplier(u: CoeffVector, symbol: np.ndarray) -> CoeffVector:
+    """Fourier multiplier c_n -> a(n) c_n; the symbol is an array indexed
+    like u.coeffs, by n + N."""
+    a = np.asarray(symbol)
+    if a.shape != u.coeffs.shape:
+        raise ValueError(f"symbol must have length {u.coeffs.size}, got shape {a.shape}")
     return CoeffVector(u.n_max, u.coeffs * a)
-
-
-def amu_symbol(mu: RadialMeasure, n_max: int) -> dict:
-    """Symbol of the moment-normalizing multiplier: a(n) = (2*pi*sigma_|n|)^{-1/2},
-    evaluated through log moments so strongly decaying measures stay finite."""
-    ls = log_moment_array(mu, n_max)
-    vals = np.exp(-0.5 * (math.log(2.0 * math.pi) + ls))
-    return {n: float(vals[abs(n)]) for n in range(-n_max, n_max + 1)}
 
 
 @dataclass(frozen=True)
 class AdaptedPair:
-    """Multiplier symbols (a, b) tied to the measure's moments, with the
-    boundedness constant C_b of b."""
+    """Multiplier symbols (a, b) tied to the measure's moments, as float
+    arrays indexed by n + n_max, with the boundedness constant C_b of b."""
 
-    a: dict
-    b: dict
+    a: np.ndarray
+    b: np.ndarray
     c_b: float
     n_max: int
 
 
-def adapted_pair(mu: RadialMeasure, n_max: int, b_choice=None) -> AdaptedPair:
+def adapted_pair(mu: RadialMeasure, n_max: int, b: np.ndarray | None = None) -> AdaptedPair:
     """Build a measure-adapted pair: |a(n)|^2 b(n) sgn(n) = (2*pi*sigma_n)^{-1}
-    on nonzero modes, with b bounded away from 0 and infinity and a(0) != 0.
+    on nonzero modes, a(0) = (2*pi*sigma_0)^{-1/2} and b(0) = 0.
 
-    b_choice maps nonzero n to a real value of the same sign as n; the
-    default is b(n) = sgn(n).
+    b is a real array indexed by n + n_max with b(n) of the sign of n for
+    n != 0 (its entry at n = 0 is ignored); the default b = sgn makes T_b
+    the Hilbert transform.  a is evaluated through log moments, so
+    measures whose moments underflow double precision stay finite.
     """
     ls = log_moment_array(mu, n_max)
     if not np.all(np.isfinite(ls)):
         raise ValueError("adapted pair requires strictly positive moments up to n_max")
-    sig = moment_array(mu, n_max)
-    b = {0: 0.0}
-    for n in range(-n_max, n_max + 1):
-        if n == 0:
-            continue
-        val = float(np.sign(n)) if b_choice is None else b_choice(n) if callable(b_choice) else b_choice[n]
-        if val == 0:
-            raise ValueError(f"b({n}) = 0 violates the two-sided bound on b")
-        if complex(val).imag != 0.0 or float(np.real(val)) * np.sign(n) <= 0.0:
-            raise ValueError(f"b({n}) must be real with the sign of n")
-        b[n] = float(np.real(val))
-    mags = [abs(b[n]) for n in b if n != 0]
-    c_b = max(max(mags), 1.0 / min(mags))
-    a = {0: 1.0 / math.sqrt(2.0 * math.pi * sig[0])}
-    for n in range(-n_max, n_max + 1):
-        if n == 0:
-            continue
-        a[n] = 1.0 / math.sqrt(2.0 * math.pi * sig[abs(n)] * b[n] * np.sign(n))
-    # sanity: the defining product identity must hold on every nonzero mode
-    for n in (1, -1, n_max, -n_max):
-        if n == 0:
-            continue
-        lhs = abs(a[n]) ** 2 * b[n] * np.sign(n)
-        rhs = 1.0 / (2.0 * math.pi * sig[abs(n)])
-        if not math.isclose(lhs, rhs, rel_tol=1e-9):
-            raise AssertionError("adapted pair identity violated")
+    ns = np.arange(-n_max, n_max + 1)
+    nz = ns != 0
+    b = np.sign(ns).astype(float) if b is None else np.where(nz, b, 0.0)
+    if np.iscomplexobj(b) or not np.all(b[nz] * ns[nz] > 0.0):
+        raise ValueError("b(n) must be real, nonzero and of the sign of n")
+    mags = np.abs(b[nz])
+    c_b = max(np.max(mags, initial=1.0), 1.0 / np.min(mags, initial=1.0))
+    log_w = math.log(2.0 * math.pi) + ls  # log(2*pi*sigma_n), n = 0..n_max
+    a = np.exp(-0.5 * log_w)[np.abs(ns)]
+    a[nz] /= np.sqrt(mags)
+    # sanity: the defining identity, in logs, on every mode (|b(0)| read as 1)
+    lhs = 2.0 * np.log(a) + np.log(np.where(nz, np.abs(b), 1.0))
+    if not np.allclose(lhs, -log_w[np.abs(ns)], rtol=0.0, atol=1e-9):
+        raise AssertionError("adapted pair identity violated")
     return AdaptedPair(a=a, b=b, c_b=float(c_b), n_max=n_max)

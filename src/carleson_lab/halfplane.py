@@ -14,7 +14,6 @@ from scipy import integrate
 from scipy.special import sici
 
 from .measures import (
-    FOUR_PI,
     INF,
     TWO,
     LineMeasure,
@@ -22,6 +21,11 @@ from .measures import (
     laplace_transform,
     vertical_carleson,
 )
+
+_FOURIER_BLOCK = 256  # frequencies per phase-matrix block in SpatialFunction.fourier
+GARNETT_GRID = np.logspace(-6, 6, 49)  # heights y and half-widths L probed by garnett_check
+_X_MAX = 64.0  # w_pi_truncated_fourier_check integrates V on [0, _X_MAX], then a 1/x tail
+_GRID_TOL = 1e-9  # relative support and additivity tolerance of stability_ratio
 
 
 @dataclass(frozen=True)
@@ -92,14 +96,15 @@ class SpatialFunction:
     def l1(self) -> float:
         return float(np.trapezoid(np.abs(self.values), self.x))
 
-    def fourier(self, xis: np.ndarray, block: int = 256) -> np.ndarray:
-        """Trapezoidal continuous Fourier transform int f(x) e^{-2 pi i x xi} dx."""
+    def fourier(self, xis: np.ndarray) -> np.ndarray:
+        """Trapezoidal continuous Fourier transform int f(x) e^{-2 pi i x xi} dx,
+        in blocks of _FOURIER_BLOCK frequencies to bound the phase matrix."""
         xis = np.asarray(xis, dtype=float)
         w = np.gradient(self.x)
         fw = self.values * w
         out = np.empty(xis.size, dtype=complex)
-        for lo in range(0, xis.size, block):
-            hi = min(lo + block, xis.size)
+        for lo in range(0, xis.size, _FOURIER_BLOCK):
+            hi = min(lo + _FOURIER_BLOCK, xis.size)
             phase = np.exp(-2j * math.pi * np.outer(xis[lo:hi], self.x))
             out[lo:hi] = phase @ fw
         return out
@@ -109,20 +114,16 @@ class SpatialFunction:
 # the bounded weight W built from the conjugate Poisson kernel
 
 
-def _conj_poisson_moment(pi: VerticalMeasure, x: float, y_lo: float = 0.0,
-                         y_hi: float = INF) -> float:
-    """int over (y_lo, y_hi) of pi*x/(y^2 + pi^2 x^2) Pi(dy)."""
+def _conj_poisson_moment(pi: VerticalMeasure, x: float) -> float:
+    """int pi*x/(y^2 + pi^2 x^2) Pi(dy)."""
     if x == 0.0:
         return 0.0
     px = math.pi * x
     total = 0.0
     for y, w in pi.atoms:
-        if y_lo < y < y_hi:
-            total += w * px / (y * y + px * px)
+        total += w * px / (y * y + px * px)
     for pc in pi.pieces:
-        a, b = max(pc.a, y_lo), min(pc.b, y_hi)
-        if a >= b:
-            continue
+        a, b = pc.a, pc.b
         if pc.p == 0.0:
             hi = math.pi / 2.0 * math.copysign(1.0, x) if math.isinf(b) else math.atan(b / px)
             total += pc.c * (hi - math.atan(a / px))
@@ -145,17 +146,17 @@ def w_pi(pi: VerticalMeasure, x) -> complex:
     return 1j * _conj_poisson_moment(pi, float(x))
 
 
-def default_x_grid(n: int = 4096) -> np.ndarray:
-    return np.logspace(-8, 8, n)
+def default_x_grid() -> np.ndarray:
+    return np.logspace(-8, 8, 4096)
 
 
-def w_pi_sup(pi: VerticalMeasure, x_grid=None) -> float:
-    """Sup of |W| over a log-spaced grid plus analytic candidates; +inf when
+def w_pi_sup(pi: VerticalMeasure) -> float:
+    """Sup of |W| over default_x_grid() plus analytic candidates; +inf when
     the vertical Carleson criterion fails (the weight is then unbounded)."""
     _, ok = vertical_carleson(pi)
     if not ok:
         return INF
-    grid = default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
+    grid = default_x_grid()
     cands = [y / math.pi for y, _ in pi.atoms]
     xs = np.concatenate([grid, np.array(cands)]) if cands else grid
     return float(max(_conj_poisson_moment(pi, x) for x in xs))
@@ -165,14 +166,13 @@ def w_pi_truncated_fourier_check(
     pi: VerticalMeasure,
     eps: float,
     big_r: float,
-    x_max: float = 64.0,
     n_x: int = 4096,
     xi_test=None,
 ) -> float:
     """Max relative error between the numerically transformed truncated
     weight and its closed spectral form sgn(xi) * int_eps^R e^{-2 y |xi|} Pi(dy).
 
-    The imaginary-free odd part V (W = i V) is integrated on [0, x_max]
+    The imaginary-free odd part V (W = i V) is integrated on [0, _X_MAX]
     by composite Simpson against sin(2 pi x xi), with the analytic 1/x
     tail appended via the sine integral.
     """
@@ -183,21 +183,15 @@ def w_pi_truncated_fourier_check(
     xi_test = np.asarray(xi_test, dtype=float)
     if n_x % 2 == 1:
         n_x += 1
-    xs = np.linspace(0.0, x_max, n_x + 1)
-    v = np.array([_conj_poisson_moment(pi, x, eps, big_r) for x in xs])
-    trunc = VerticalMeasure(
-        atoms=tuple((y, w) for y, w in pi.atoms if eps < y < big_r) or (),
-        pieces=tuple(
-            type(pc)(max(pc.a, eps), min(pc.b, big_r), pc.c, pc.p)
-            for pc in pi.pieces if max(pc.a, eps) < min(pc.b, big_r)
-        ),
-    ) if (pi.atoms or pi.pieces) else pi
+    xs = np.linspace(0.0, _X_MAX, n_x + 1)
+    trunc = pi.truncate(big_r, eps)
+    v = np.array([_conj_poisson_moment(trunc, x) for x in xs])
     tail_mass = trunc.cumulative(big_r)
     worst = 0.0
     for xi in xi_test:
         integrand = v * np.sin(2.0 * math.pi * xs * abs(xi))
         main = 2.0 * integrate.simpson(integrand, x=xs)
-        si, _ = sici(2.0 * math.pi * abs(xi) * x_max)
+        si, _ = sici(2.0 * math.pi * abs(xi) * _X_MAX)
         tail = (2.0 * tail_mass / math.pi) * (math.pi / 2.0 - si)
         numeric = math.copysign(1.0, xi) * (main + tail)
         exact = math.copysign(1.0, xi) * laplace_transform(trunc, xi, TWO)
@@ -209,16 +203,17 @@ def w_pi_truncated_fourier_check(
 # norms and the stability inequality
 
 
-def b2h_norm(g: BandSignal, pi: VerticalMeasure, convention: str = FOUR_PI) -> float:
-    """Laplace-weighted spectral norm sqrt(int |g(xi)|^2 L(xi) d xi) by the
-    trapezoidal rule on the frequency grid."""
-    lam = laplace_transform(pi, g.xis, convention)
+def b2h_norm(g: BandSignal, pi: VerticalMeasure) -> float:
+    """Laplace-weighted spectral norm sqrt(int |g(xi)|^2 L(xi) d xi), L in the
+    four_pi convention, by the trapezoidal rule on the frequency grid."""
+    lam = laplace_transform(pi, g.xis)
     return float(math.sqrt(np.trapezoid(np.abs(g.values) ** 2 * lam, dx=g.d_xi)))
 
 
-def garnett_check(nu: LineMeasure, y_grid=None, l_grid=None):
+def garnett_check(nu: LineMeasure):
     """(poisson_sup, box_sup): sup_y int y/(t^2+y^2) nu(dt) and
-    sup_L nu([-L,L])/(2L), both with analytic infinity classification."""
+    sup_L nu([-L,L])/(2L) over GARNETT_GRID, both with analytic infinity
+    classification."""
     finite = nu.poisson_integrable()
     for t, _ in nu.atoms:
         if t == 0.0:
@@ -230,10 +225,8 @@ def garnett_check(nu: LineMeasure, y_grid=None, l_grid=None):
             finite = False
     if not finite:
         return INF, INF
-    ys = np.logspace(-6, 6, 49) if y_grid is None else np.asarray(y_grid, dtype=float)
-    ls = np.logspace(-6, 6, 49) if l_grid is None else np.asarray(l_grid, dtype=float)
     psup = 0.0
-    for y in ys:
+    for y in GARNETT_GRID:
         val = sum(w * y / (t * t + y * y) for t, w in nu.atoms)
         for pc in nu.pieces:
             a = pc.a if not math.isinf(pc.a) else -1e12 * y
@@ -245,7 +238,7 @@ def garnett_check(nu: LineMeasure, y_grid=None, l_grid=None):
                     lambda t: pc.c * abs(t) ** pc.p * y / (t * t + y * y), a, b,
                     points=[0.0] if a < 0.0 < b else None, epsabs=1e-11, limit=400)[0]
         psup = max(psup, val)
-    bsup = max(nu.box_mass(L) / (2.0 * L) for L in ls)
+    bsup = max(nu.box_mass(L) / (2.0 * L) for L in GARNETT_GRID)
     return float(psup), float(bsup)
 
 
@@ -255,8 +248,6 @@ def stability_ratio(
     h: SpatialFunction,
     pi: VerticalMeasure,
     big_r: float,
-    support_tol: float = 1e-9,
-    residual_tol: float = 1e-9,
 ) -> float:
     """||f|| / (||g|| + ||h||_1) in the truncated Laplace-weighted norm.
 
@@ -270,11 +261,11 @@ def stability_ratio(
     if scale == 0.0:
         raise ValueError("f must be nonzero")
     neg = f_hat0.values[f_hat0.xis < 0.0]
-    if neg.size and float(np.max(np.abs(neg))) > support_tol * scale:
+    if neg.size and float(np.max(np.abs(neg))) > _GRID_TOL * scale:
         raise ValueError("f has negative-frequency content; analyticity precondition violated")
     h_hat = h.fourier(f_hat0.xis)
     residual = float(np.max(np.abs(f_hat0.values - g_hat0.values - h_hat)))
-    if residual > residual_tol * max(1.0, scale):
+    if residual > _GRID_TOL * max(1.0, scale):
         raise ValueError(f"f != g + h on the grid (residual {residual:.3e})")
     pi_r = pi.truncate(big_r)
     num = b2h_norm(f_hat0, pi_r)
@@ -293,5 +284,4 @@ def const_bpi(c_b: float, pi: VerticalMeasure) -> float:
     """sqrt(C_b + sup|W| + 1); +inf propagates."""
     if c_b < 1.0:
         raise ValueError("C_b is >= 1 by definition")
-    s = w_pi_sup(pi)
-    return INF if math.isinf(s) else math.sqrt(c_b + s + 1.0)
+    return math.sqrt(c_b + w_pi_sup(pi) + 1.0)

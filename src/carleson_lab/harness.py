@@ -9,15 +9,13 @@ conservative.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import AdaptedPair, CoeffVector, adapted_pair, amu_symbol, analytic_projection, \
-    hilbert, multiplier, synthesize
+from .fourier import AdaptedPair, CoeffVector, adapted_pair, analytic_projection, multiplier, \
+    synthesize
 from .measures import RadialMeasure, moment_array
 from .norms import a2_norm, l1_norm, l2_norm
 from .sumnorm import sum_norm
@@ -42,18 +40,8 @@ class InequalityReport:
             "gaps": list(self.gaps),
         }
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["index", "ratio"])
-        for i, r in enumerate(self.ratios):
-            w.writerow([i, repr(r)])
-        return buf.getvalue()
-
 
 def _sum_upper(v: CoeffVector, mu: RadialMeasure, m: int, tol: float, max_iters: int) -> float:
-    if v.is_zero():
-        return 0.0
     return sum_norm(v, mu, m=m, tol=tol, max_iters=max_iters).upper
 
 
@@ -62,29 +50,22 @@ def _unit(u: CoeffVector) -> CoeffVector:
     return CoeffVector(u.n_max, u.coeffs / l2_norm(u))
 
 
-def bbb_ratio(u: CoeffVector, mu: RadialMeasure, m: int = 512, tol: float = 1e-3,
-              max_iters: int = 40_000) -> float:
-    """||u||_2 / (||A u||_{sum} + ||H A u||_{sum}) with the moment-normalizing
-    multiplier A; scale-invariant by homogeneity."""
-    if u.is_zero():
-        raise ValueError("ratio undefined for u = 0")
-    u = _unit(u)
-    a = amu_symbol(mu, u.n_max)
-    v = multiplier(u, a)
-    den = _sum_upper(v, mu, m, tol, max_iters) + _sum_upper(hilbert(v), mu, m, tol, max_iters)
-    return l2_norm(u) / den
-
-
-def adapted_ineq_ratio(u: CoeffVector, mu: RadialMeasure, pair: AdaptedPair,
+def adapted_ineq_ratio(u: CoeffVector, mu: RadialMeasure, pair: AdaptedPair | None = None,
                        m: int = 512, tol: float = 1e-3, max_iters: int = 40_000) -> float:
-    """As bbb_ratio, with a general adapted pair: denominator uses T_a u and T_b T_a u."""
+    """||u||_2 / (||T_a u||_{sum} + ||T_b T_a u||_{sum}) for an adapted pair
+    (a, b); scale-invariant by homogeneity.  The default pair has b = sgn,
+    so T_b = H and T_a is the moment-normalizing multiplier: the
+    Bourgain-Brezis-type ratio."""
     if u.is_zero():
         raise ValueError("ratio undefined for u = 0")
+    if pair is None:
+        pair = adapted_pair(mu, u.n_max)
     if pair.n_max < u.n_max:
         raise ValueError("adapted pair degree too small for the input")
+    modes = slice(pair.n_max - u.n_max, pair.n_max + u.n_max + 1)
     u = _unit(u)
-    v = multiplier(u, pair.a)
-    w = multiplier(v, pair.b)
+    v = multiplier(u, pair.a[modes])
+    w = multiplier(v, pair.b[modes])
     den = _sum_upper(v, mu, m, tol, max_iters) + _sum_upper(w, mu, m, tol, max_iters)
     return l2_norm(u) / den
 
@@ -150,23 +131,22 @@ def random_poly(seed: int, index: int, n_max: int, s: float = 1.0,
 
 
 def corpus_scan(mu: RadialMeasure, count: int, seed: int = 42, n_max: int = 64,
-                s: float = 1.0, which: str = "bbb", m: int = 512, tol: float = 1e-3,
-                max_iters: int = 40_000, pair: AdaptedPair | None = None) -> InequalityReport:
-    """Run the selected ratio over a deterministic pseudo-random corpus."""
+                which: str = "bbb", m: int = 512, tol: float = 1e-3,
+                max_iters: int = 40_000) -> InequalityReport:
+    """Run the selected ratio over a deterministic pseudo-random corpus;
+    "bbb" and "adapted" both run adapted_ineq_ratio with the default pair."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if which == "adapted" and pair is None:
-        pair = adapted_pair(mu, n_max)
     if which not in ("bbb", "adapted", "embedding"):
         raise ValueError(f"unknown ratio kind {which!r}")
+    analytic = which == "embedding"
+    pair = None if analytic else adapted_pair(mu, n_max)
 
     def one(i: int) -> float:
-        u = random_poly(seed, i, n_max, s=s, analytic=(which == "embedding"))
-        if which == "bbb":
-            return float(bbb_ratio(u, mu, m=m, tol=tol, max_iters=max_iters))
-        if which == "adapted":
-            return float(adapted_ineq_ratio(u, mu, pair, m=m, tol=tol, max_iters=max_iters))
-        return float(embedding_ratio(u, mu, m=m, tol=tol, max_iters=max_iters))
+        u = random_poly(seed, i, n_max, analytic=analytic)
+        if analytic:
+            return float(embedding_ratio(u, mu, m=m, tol=tol, max_iters=max_iters))
+        return float(adapted_ineq_ratio(u, mu, pair, m=m, tol=tol, max_iters=max_iters))
 
     ratios = [one(i) for i in range(count)]
     return InequalityReport(

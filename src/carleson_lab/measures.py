@@ -9,9 +9,8 @@ for values below the double-precision floor.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -83,6 +82,19 @@ class LinePiece:
             raise ValueError("piece covering 0 needs p > -1 for local finiteness")
 
 
+def _set_atoms_and_pieces(measure, piece_cls) -> None:
+    """Store a frozen measure's atoms as float (position, weight) pairs and
+    its pieces as piece_cls; reject nonpositive weights and empty measures."""
+    atoms = tuple((float(x), float(w)) for x, w in measure.atoms)
+    pieces = tuple(p if isinstance(p, piece_cls) else piece_cls(*p) for p in measure.pieces)
+    object.__setattr__(measure, "atoms", atoms)
+    object.__setattr__(measure, "pieces", pieces)
+    if any(w <= 0 for _, w in atoms):
+        raise ValueError("atom weight must be positive")
+    if not atoms and not pieces:
+        raise ValueError("measure must have at least one atom or piece")
+
+
 def _log_beta_segment(m: float, p: float, a: float, b: float) -> float:
     """log of int_a^b r^m (1-r)^p dr for 0 <= a < b <= 1, m >= 0, p > -1."""
     full = betaln(m + 1.0, p + 1.0)
@@ -126,23 +138,10 @@ class RadialMeasure:
     pieces: tuple = ()
 
     def __post_init__(self):
-        atoms = tuple((float(r), float(w)) for r, w in self.atoms)
-        pieces = tuple(p if isinstance(p, RadialPiece) else RadialPiece(*p) for p in self.pieces)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "pieces", pieces)
-        for r, w in atoms:
+        _set_atoms_and_pieces(self, RadialPiece)
+        for r, _ in self.atoms:
             if not 0.0 <= r < 1.0:
                 raise ValueError(f"atom radius {r} outside [0, 1)")
-            if w <= 0:
-                raise ValueError("atom weight must be positive")
-        if not atoms and not pieces:
-            raise ValueError("measure must have at least one atom or piece")
-
-    def is_zero(self) -> bool:
-        return not self.atoms and not self.pieces
-
-    def total_mass(self) -> float:
-        return moment(self, 0)
 
     def tail_mass(self, delta: float) -> float:
         """sigma([1-delta, 1))."""
@@ -154,10 +153,6 @@ class RadialMeasure:
                 continue
             total += pc.c * math.exp(_log_beta_segment(pc.q, pc.p, a, pc.b))
         return total
-
-    def support_sup(self) -> float:
-        vals = [r for r, _ in self.atoms] + [pc.b for pc in self.pieces]
-        return max(vals)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RadialMeasure":
@@ -184,17 +179,9 @@ class VerticalMeasure:
     pieces: tuple = ()
 
     def __post_init__(self):
-        atoms = tuple((float(y), float(w)) for y, w in self.atoms)
-        pieces = tuple(p if isinstance(p, VerticalPiece) else VerticalPiece(*p) for p in self.pieces)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "pieces", pieces)
-        for y, w in atoms:
-            if y <= 0:
-                raise ValueError("atom height must be positive")
-            if w <= 0:
-                raise ValueError("atom weight must be positive")
-        if not atoms and not pieces:
-            raise ValueError("measure must have at least one atom or piece")
+        _set_atoms_and_pieces(self, VerticalPiece)
+        if any(y <= 0 for y, _ in self.atoms):
+            raise ValueError("atom height must be positive")
 
     def cumulative(self, y: float) -> float:
         """F_Pi(y) = Pi((0, y])."""
@@ -210,21 +197,25 @@ class VerticalMeasure:
                 total += pc.c * (b**e - pc.a**e) / e
         return total
 
-    def truncate(self, R: float) -> "VerticalMeasure":
-        """Keep only the mass at heights below R (Pi_R(dy) = 1(y<R) Pi(dy))."""
-        atoms = tuple((y, w) for y, w in self.atoms if y < R)
+    def truncate(self, R: float, eps: float = 0.0) -> "VerticalMeasure":
+        """Keep only the mass at heights in (eps, R): Pi_R(dy) = 1(eps<y<R) Pi(dy).
+
+        The default eps = 0 cuts only above; a piece keeps its density on
+        [max(a, eps), min(b, R))."""
+        atoms = tuple((y, w) for y, w in self.atoms if eps < y < R)
         pieces = tuple(
-            VerticalPiece(pc.a, min(pc.b, R), pc.c, pc.p) for pc in self.pieces if pc.a < R
+            VerticalPiece(max(pc.a, eps), min(pc.b, R), pc.c, pc.p)
+            for pc in self.pieces if max(pc.a, eps) < min(pc.b, R)
         )
         if not atoms and not pieces:
-            raise ValueError(f"truncation at R={R} leaves an empty measure")
+            raise ValueError(f"truncation to ({eps}, {R}) leaves an empty measure")
         return VerticalMeasure(atoms, pieces)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "VerticalMeasure":
         atoms = tuple((float(a["y"]), float(a["w"])) for a in doc.get("atoms", []))
         pieces = tuple(
-            VerticalPiece(float(p["a"]), _parse_inf(p["b"]), float(p["c"]), float(p["p"]))
+            VerticalPiece(float(p["a"]), float(p["b"]), float(p["c"]), float(p["p"]))
             for p in doc.get("pieces", [])
         )
         return cls(atoms, pieces)
@@ -246,15 +237,7 @@ class LineMeasure:
     pieces: tuple = ()
 
     def __post_init__(self):
-        atoms = tuple((float(t), float(w)) for t, w in self.atoms)
-        pieces = tuple(p if isinstance(p, LinePiece) else LinePiece(*p) for p in self.pieces)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "pieces", pieces)
-        for _, w in atoms:
-            if w <= 0:
-                raise ValueError("atom weight must be positive")
-        if not atoms and not pieces:
-            raise ValueError("measure must have at least one atom or piece")
+        _set_atoms_and_pieces(self, LinePiece)
 
     def poisson_integrable(self) -> bool:
         """True iff int (1+t^2)^{-1} nu(dt) < infinity."""
@@ -274,8 +257,7 @@ class LineMeasure:
     def from_dict(cls, doc: dict) -> "LineMeasure":
         atoms = tuple((float(a["t"]), float(a["w"])) for a in doc.get("atoms", []))
         pieces = tuple(
-            LinePiece(_parse_signed_inf(p["a"]), _parse_signed_inf(p["b"]),
-                      float(p["c"]), float(p["p"]))
+            LinePiece(float(p["a"]), float(p["b"]), float(p["c"]), float(p["p"]))
             for p in doc.get("pieces", [])
         )
         return cls(atoms, pieces)
@@ -296,23 +278,6 @@ def _line_piece_mass(pc: LinePiece, lo: float, hi: float) -> float:
         return math.copysign(abs(t) ** (pc.p + 1.0) / (pc.p + 1.0), t)
 
     return pc.c * (prim(b) - prim(a))
-
-
-def _parse_signed_inf(x) -> float:
-    if isinstance(x, str):
-        s = x.lower().lstrip("+")
-        if s in ("inf", "infinity"):
-            return INF
-        if s in ("-inf", "-infinity"):
-            return -INF
-        return float(x)
-    return float(x)
-
-
-def _parse_inf(x) -> float:
-    if isinstance(x, str):
-        return INF if x.lower() in ("inf", "infinity") else float(x)
-    return float(x)
 
 
 def _dump_inf(x: float):
@@ -395,7 +360,7 @@ def radial_carleson(mu: RadialMeasure, delta_grid: Sequence[float] | None = None
 
 def boundary_accessible(mu: RadialMeasure) -> bool:
     """True iff the support reaches the boundary (sup of support = 1)."""
-    return mu.support_sup() >= 1.0
+    return max([r for r, _ in mu.atoms] + [pc.b for pc in mu.pieces]) >= 1.0
 
 
 def singular_integral(mu: RadialMeasure) -> float:
@@ -421,20 +386,16 @@ def singular_integral(mu: RadialMeasure) -> float:
     return 2.0 * math.pi * total
 
 
-def vertical_carleson(pi: VerticalMeasure, y_grid: Sequence[float] | None = None):
-    """(sup_ratio, is_carleson) for sup_y Pi((0,y])/y."""
+def vertical_carleson(pi: VerticalMeasure):
+    """(sup_ratio, is_carleson) for sup_y Pi((0,y])/y over Y_GRID augmented
+    with the atoms and the finite piece endpoints."""
     ok = all(pc.p >= 0 for pc in pi.pieces if pc.a == 0.0)
     ok = ok and all(pc.p <= 0 for pc in pi.pieces if math.isinf(pc.b))
-    if y_grid is None:
-        cands = [y for y, _ in pi.atoms]
-        cands += [pc.a for pc in pi.pieces if pc.a > 0.0]
-        cands += [pc.b for pc in pi.pieces if not math.isinf(pc.b)]
-        grid = np.unique(np.concatenate([Y_GRID, np.array(cands)])) if cands else Y_GRID
-        grid = grid[grid > 0.0]
-    else:
-        grid = np.asarray(y_grid, dtype=float)
-        if grid.size == 0:
-            raise ValueError("y grid must be nonempty")
+    cands = [y for y, _ in pi.atoms]
+    cands += [pc.a for pc in pi.pieces if pc.a > 0.0]
+    cands += [pc.b for pc in pi.pieces if not math.isinf(pc.b)]
+    grid = np.unique(np.concatenate([Y_GRID, np.array(cands)])) if cands else Y_GRID
+    grid = grid[grid > 0.0]
     if not ok:
         return INF, False
     ratio = max(pi.cumulative(y) / y for y in grid)
@@ -484,7 +445,7 @@ def laplace_transform(pi: VerticalMeasure, xi, convention: str = FOUR_PI):
 
 
 # ---------------------------------------------------------------------------
-# builtin measures and JSON loading
+# builtin measures
 
 
 def lebesgue_disk() -> RadialMeasure:
@@ -512,13 +473,3 @@ def atom_halfplane(y: float, w: float = 1.0) -> VerticalMeasure:
 
 def lebesgue_line() -> LineMeasure:
     return LineMeasure(pieces=(LinePiece(-INF, INF, 1.0, 0.0),))
-
-
-def load_measure(path: str, kind: str = "radial"):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if kind == "radial":
-        return RadialMeasure.from_dict(doc)
-    if kind == "vertical":
-        return VerticalMeasure.from_dict(doc)
-    raise ValueError(f"unknown measure kind {kind!r}")

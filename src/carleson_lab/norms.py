@@ -8,27 +8,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
-from .fourier import CoeffVector, GridFunction
+from .fourier import CoeffVector, GridFunction, analyze
 from .measures import INF, RadialMeasure, moment_array, radial_carleson, singular_integral
-
-
-@dataclass(frozen=True)
-class NormReport:
-    value: float
-    method: str  # closed_form | quadrature | grid_sup
-    est_error: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "value": "inf" if math.isinf(self.value) else self.value,
-            "method": self.method,
-            "est_error": self.est_error,
-        }
 
 
 def l2_norm(u: CoeffVector) -> float:
@@ -56,23 +41,23 @@ def a2_norm(u: CoeffVector, mu: RadialMeasure) -> float:
     return hmu_norm(u, mu)
 
 
-def _radial_panels(a: float, b: float, min_width: float = 1e-10) -> np.ndarray:
-    """Panel breakpoints on [a, b), geometrically refined toward r = b when
-    the piece reaches the boundary."""
+def _radial_panels(a: float, b: float) -> np.ndarray:
+    """Panel breakpoints on [a, b), geometrically refined down to width
+    1e-10 toward r = b when the piece reaches the boundary."""
     if b < 1.0:
         return np.linspace(a, b, 17)
     pts = [a]
     width = b - a
-    while width > min_width:
+    while width > 1e-10:
         width *= 0.5
         pts.append(b - width)
     pts.append(b)
     return np.asarray(pts)
 
 
-def _piece_quad_nodes(a: float, b: float, order: int = 24):
-    """Composite Gauss-Legendre nodes/weights on graded panels of [a, b)."""
-    x, w = np.polynomial.legendre.leggauss(order)
+def _piece_quad_nodes(a: float, b: float):
+    """Composite 24-point Gauss-Legendre nodes/weights on graded panels of [a, b)."""
+    x, w = np.polynomial.legendre.leggauss(24)
     brk = _radial_panels(a, b)
     mids = 0.5 * (brk[1:] + brk[:-1])
     halfs = 0.5 * (brk[1:] - brk[:-1])
@@ -123,8 +108,6 @@ def analyze_w_sigma_errors(mu: RadialMeasure, m: int = 4096, n_max: int = 64) ->
     a cusp at theta = 0, not a jump, so nothing is subtracted and the error
     stays above 1e-6 (5.7e-6 at p = 0.01, m = 4096, n_max = 64).
     """
-    from .fourier import analyze
-
     g = w_sigma(mu, m)
     c = sum(pc.c for pc in mu.pieces if pc.b >= 1.0 and pc.p == 0.0)
     jump = 0.5j * c * (math.pi - g.thetas)
@@ -138,8 +121,7 @@ def analyze_w_sigma_errors(mu: RadialMeasure, m: int = 4096, n_max: int = 64) ->
 
 def cauchy_kernel_bound(mu: RadialMeasure) -> float:
     """sqrt of the singular integral 2*pi int sigma(dr)/(1-r^2); +inf propagates."""
-    s = singular_integral(mu)
-    return INF if math.isinf(s) else math.sqrt(s)
+    return math.sqrt(singular_integral(mu))
 
 
 def default_theta_grid(k: int = 2048) -> np.ndarray:

@@ -35,6 +35,7 @@ from .norms import hmu_norm
 DEFAULT_TOL = 1e-5
 DEFAULT_MAX_ITERS = 200_000
 _RELAX = 1.6  # ADMM over-relaxation factor
+_CHECK_EVERY = 25  # iterations between certificate checks
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,15 @@ class CertifiedNorm:
 
 
 def dual_hmu(phi: GridFunction, mu: RadialMeasure, n_max: int) -> float:
-    """Dual weighted norm sqrt(sum_{|n|<=N} |phi_hat(n)|^2 / (2*pi*sigma_|n|))."""
+    """Dual weighted norm sqrt(sum_{|n|<=N} |phi_hat(n)|^2 / (2*pi*sigma_|n|)).
+
+    A 0/0 term (phi_hat(n) = 0 where sigma_n = 0) makes the norm +inf, as
+    in sum_norm, so dual_bound never drops the weighted constraint."""
     hat = analyze(phi, n_max)
     sig = moment_array(mu, n_max)
-    return float(math.sqrt(np.sum(np.abs(hat.coeffs) ** 2 / (2.0 * math.pi * sig[np.abs(hat.ns)]))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = math.sqrt(np.sum(np.abs(hat.coeffs) ** 2 / (2.0 * math.pi * sig[np.abs(hat.ns)])))
+    return math.inf if math.isnan(val) else val
 
 
 def dual_bound(u: CoeffVector, phi: GridFunction, mu: RadialMeasure) -> float:
@@ -118,7 +124,6 @@ def sum_norm(
     m: int | None = None,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    check_every: int = 25,
 ) -> CertifiedNorm:
     """Certified value of the discretized sum-space norm.
 
@@ -188,7 +193,7 @@ def sum_norm(
         e_old, e = e, u_grid + q
         e -= y
 
-        if it % check_every == 0 or it == max_iters:
+        if it % _CHECK_EVERY == 0 or it == max_iters:
             nf = float(np.linalg.norm(d * f))
             upper = nf + float(np.mean(np.abs(u_grid - sf)))
             if upper < best_upper:

@@ -7,9 +7,8 @@ import pytest
 
 from carleson_lab.fourier import (
     CoeffVector,
-    _synthesize_direct,
+    GridFunction,
     adapted_pair,
-    amu_symbol,
     analytic_projection,
     analyze,
     evaluate,
@@ -18,9 +17,18 @@ from carleson_lab.fourier import (
     poisson_dilate,
     synthesize,
 )
-from carleson_lab.measures import atom_disk, lebesgue_disk, power_disk
+from carleson_lab.measures import RadialMeasure, atom_disk, lebesgue_disk, power_disk
 
 from conftest import random_coeff_vector, rng_for
+
+
+def _synthesize_direct(u: CoeffVector, m: int) -> GridFunction:
+    """Direct-summation oracle for the fast transform."""
+    theta = 2.0 * math.pi * np.arange(m) / m
+    vals = np.zeros(m, dtype=complex)
+    for n, c in zip(u.ns, u.coeffs):
+        vals += c * np.exp(1j * n * theta)
+    return GridFunction(vals)
 
 
 def test_coeff_vector_basics():
@@ -66,6 +74,10 @@ def test_synthesize_matches_direct_oracle():
         fast = synthesize(u, m).samples
         slow = _synthesize_direct(u, m).samples
         assert np.max(np.abs(fast - slow)) < 1e-12
+        spread = np.zeros(m, dtype=complex)  # per-mode scatter: the same bits
+        for n, c in zip(u.ns, u.coeffs):
+            spread[n % m] += c
+        assert np.array_equal(fast, np.fft.ifft(spread) * m)
 
 
 def test_size_guards():
@@ -107,62 +119,71 @@ def test_hilbert_and_projection():
 
 
 def test_multiplier_symbol_forms():
+    # the symbol is an array indexed like the coefficients, by n + N
     u = CoeffVector.from_map({-1: 1.0, 1: 1.0}, 1)
-    v = multiplier(u, lambda n: n * n)
-    assert v[-1] == 1.0 and v[1] == 1.0 and v[0] == 0.0
-    v2 = multiplier(u, {-1: 2.0, 0: 0.0, 1: 3.0})
-    assert v2[-1] == 2.0 and v2[1] == 3.0
+    v = multiplier(u, np.array([2.0, 0.0, 3.0]))
+    assert v[-1] == 2.0 and v[0] == 0.0 and v[1] == 3.0
+    v2 = multiplier(u, np.array([1j, 5.0, -1.0]))
+    assert v2[-1] == 1j and v2[1] == -1.0
     with pytest.raises(ValueError):
-        multiplier(u, {0: 1.0})  # missing indices
+        multiplier(u, np.array([1.0]))  # not aligned with u.ns
 
 
 def test_amu_symbol_lebesgue():
-    a = amu_symbol(lebesgue_disk(), 2)
+    # A_mu, the moment-normalizing symbol (2*pi*sigma_|n|)^{-1/2}, is the
+    # default pair's a; index n + n_max
+    a = adapted_pair(lebesgue_disk(), 2).a
     # sigma_1 = 1/4, so a(1) = sqrt(2/pi)
-    assert a[1] == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
-    assert a[-1] == a[1]
-    assert a[0] == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-12)
+    assert a[1 + 2] == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
+    assert a[-1 + 2] == a[1 + 2]
+    assert a[0 + 2] == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-12)
 
 
 def test_amu_symbol_strong_decay_stays_finite():
-    a = amu_symbol(atom_disk(0.5), 700)
-    assert math.isfinite(a[700]) and a[700] > 0.0
+    # sigma_700 = 4^-700 underflows to 0; a comes from the log moments
+    a = adapted_pair(atom_disk(0.5), 700).a
+    assert np.all(np.isfinite(a)) and np.all(a > 0.0)
+    assert a[700 + 700] == pytest.approx(2.0**700 / math.sqrt(2.0 * math.pi), rel=1e-12)
 
 
 def test_adapted_pair_default():
     pair = adapted_pair(lebesgue_disk(), 4)
-    # sigma_2 = 1/6, so a(2) = sqrt(3/pi)
-    assert pair.a[2] == pytest.approx(math.sqrt(3.0 / math.pi), rel=1e-12)
-    assert pair.b[2] == 1.0 and pair.b[-2] == -1.0 and pair.b[0] == 0.0
+    # sigma_2 = 1/6, so a(2) = sqrt(3/pi); index n + 4
+    assert pair.a[2 + 4] == pytest.approx(math.sqrt(3.0 / math.pi), rel=1e-12)
+    assert pair.b[2 + 4] == 1.0 and pair.b[-2 + 4] == -1.0 and pair.b[0 + 4] == 0.0
     assert pair.c_b == 1.0
 
 
 def test_adapted_pair_custom_b():
-    pair = adapted_pair(lebesgue_disk(), 2, b_choice=lambda n: 2.0 * np.sign(n))
+    ns = np.arange(-2, 3)
+    pair = adapted_pair(lebesgue_disk(), 2, b=2.0 * np.sign(ns))
     assert pair.c_b == 2.0
     for n in (1, 2, -1, -2):
         sig = 1.0 / (2.0 * abs(n) + 2.0)
-        lhs = abs(pair.a[n]) ** 2 * pair.b[n] * np.sign(n)
+        lhs = abs(pair.a[n + 2]) ** 2 * pair.b[n + 2] * np.sign(n)
         assert lhs == pytest.approx(1.0 / (2.0 * math.pi * sig), rel=1e-12)
 
 
 def test_adapted_pair_rejects_bad_b():
     mu = lebesgue_disk()
+    ns = np.arange(-2, 3)
     with pytest.raises(ValueError):
-        adapted_pair(mu, 2, b_choice=lambda n: 0.0)
+        adapted_pair(mu, 2, b=np.zeros(5))
     with pytest.raises(ValueError):
-        adapted_pair(mu, 2, b_choice=lambda n: -np.sign(n))
+        adapted_pair(mu, 2, b=-np.sign(ns))
+    with pytest.raises(ValueError):
+        adapted_pair(mu, 2, b=np.array([-1.0, -1.0, 0.0, np.nan, 1.0]))
+    with pytest.raises(ValueError):
+        adapted_pair(mu, 2, b=np.sign(ns) + 0.5j)
 
 
 def test_adapted_pair_interior_measure():
     # measures supported away from the boundary still have positive moments
     pair = adapted_pair(power_disk(-0.5, b=0.9), 16)
-    assert all(math.isfinite(pair.a[n]) for n in range(-16, 17))
+    assert pair.a.shape == (33,) and np.all(np.isfinite(pair.a))
 
 
 def test_adapted_pair_rejects_degenerate_measure():
-    from carleson_lab.measures import RadialMeasure
-
     with pytest.raises(ValueError):
         adapted_pair(RadialMeasure(atoms=((0.0, 1.0),)), 2)
 

@@ -11,7 +11,6 @@ from carleson_lab.fourier import CoeffVector, adapted_pair
 from carleson_lab.harness import (
     InequalityReport,
     adapted_ineq_ratio,
-    bbb_ratio,
     corpus_scan,
     embedding_ratio,
     fejer_experiment,
@@ -27,7 +26,7 @@ FAST = dict(m=64, tol=1e-3, max_iters=20_000)
 
 def test_ratio_rejects_zero(lebesgue):
     with pytest.raises(ValueError):
-        bbb_ratio(CoeffVector.zero(4), lebesgue)
+        adapted_ineq_ratio(CoeffVector.zero(4), lebesgue)
     with pytest.raises(ValueError):
         embedding_ratio(CoeffVector.zero(4), lebesgue)
 
@@ -45,16 +44,20 @@ def test_adapted_pair_degree_guard(lebesgue):
 
 def test_scale_invariance_exact(lebesgue):
     u = random_poly(42, 7, 8)
-    base = bbb_ratio(u, lebesgue, **FAST)
+    base = adapted_ineq_ratio(u, lebesgue, **FAST)
     for lam in (4.0, 0.125, -1.0):
-        assert bbb_ratio(lam * u, lebesgue, **FAST) == base
+        assert adapted_ineq_ratio(lam * u, lebesgue, **FAST) == base
 
 
 def test_default_pair_matches_bbb(lebesgue):
+    # the bbb ratio is the adapted ratio with the default pair (b = sgn, so
+    # T_b = H); a pair of higher degree acts through its modes |n| <= 8
     u = random_poly(42, 3, 8)
-    pair = adapted_pair(lebesgue, 8)
-    assert adapted_ineq_ratio(u, lebesgue, pair, **FAST) == pytest.approx(
-        bbb_ratio(u, lebesgue, **FAST), rel=1e-12)
+    bbb = adapted_ineq_ratio(u, lebesgue, **FAST)
+    assert adapted_ineq_ratio(u, lebesgue, adapted_pair(lebesgue, 8), **FAST) == bbb
+    assert adapted_ineq_ratio(u, lebesgue, adapted_pair(lebesgue, 12), **FAST) == bbb
+    adapted = corpus_scan(lebesgue, 2, n_max=8, which="adapted", **FAST)
+    assert corpus_scan(lebesgue, 2, n_max=8, which="bbb", **FAST) == adapted
 
 
 def test_embedding_ratio_at_least_one(lebesgue):
@@ -125,6 +128,3 @@ def test_inequality_report_serialization():
     rep = InequalityReport(ratios=(0.5, 0.75), max_ratio=0.75, seed=42, corpus_size=2)
     doc = rep.to_dict()
     assert doc["max_ratio"] == 0.75 and doc["ratios"] == [0.5, 0.75]
-    csv_text = rep.to_csv()
-    assert csv_text.splitlines()[0] == "index,ratio"
-    assert len(csv_text.splitlines()) == 3

@@ -1,7 +1,6 @@
 """Unit tests for measures: moments, Carleson criteria, singular integrals,
 Laplace transforms, serialization."""
 
-import json
 import math
 
 import numpy as np
@@ -23,7 +22,6 @@ from carleson_lab.measures import (
     lebesgue_disk,
     lebesgue_halfplane,
     lebesgue_line,
-    load_measure,
     log_moment_array,
     moment,
     moment_array,
@@ -285,15 +283,3 @@ def test_vertical_json_round_trip_with_inf():
 def test_line_from_dict_signed_inf():
     nu = LineMeasure.from_dict({"pieces": [{"a": "-inf", "b": "inf", "c": 1.0, "p": 0.0}]})
     assert nu.pieces[0].a == -INF and nu.pieces[0].b == INF
-
-
-def test_load_measure(tmp_path):
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps(lebesgue_disk().to_dict()))
-    mu = load_measure(str(path))
-    assert mu == lebesgue_disk()
-    path2 = tmp_path / "v.json"
-    path2.write_text(json.dumps(lebesgue_halfplane().to_dict()))
-    assert load_measure(str(path2), kind="vertical") == lebesgue_halfplane()
-    with pytest.raises(ValueError):
-        load_measure(str(path), kind="nope")

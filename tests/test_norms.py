@@ -8,7 +8,6 @@ import pytest
 from carleson_lab.fourier import CoeffVector, analyze, synthesize
 from carleson_lab.measures import RadialMeasure, RadialPiece, atom_disk, lebesgue_disk, moment_array, power_disk
 from carleson_lab.norms import (
-    NormReport,
     a2_norm,
     analyze_w_sigma_errors,
     cauchy_kernel_bound,
@@ -112,13 +111,6 @@ def test_default_theta_grid_range():
     g = default_theta_grid(128)
     assert g.min() > 0.0 and g.max() < math.pi
     assert np.all(np.diff(g) > 0)
-
-
-def test_norm_report_serialization():
-    rep = NormReport(value=math.inf, method="grid_sup")
-    assert rep.to_dict()["value"] == "inf"
-    rep2 = NormReport(value=1.5, method="closed_form", est_error=1e-9)
-    assert rep2.to_dict() == {"value": 1.5, "method": "closed_form", "est_error": 1e-9}
 
 
 def test_w_sigma_mixed_measure(carleson_measures):

@@ -168,6 +168,16 @@ def test_zero_moments_free_modes():
         assert cert.upper == pytest.approx(exact, rel=1e-4)
 
 
+def test_dual_bound_keeps_constraint_at_zero_moments():
+    # sigma_n = 0 for n != 0 (atom at the origin), so e_1 has sum-space norm 0;
+    # the 0/0 terms of the dual weighted norm must not drop its constraint
+    e1 = CoeffVector.basis(1)
+    mu = RadialMeasure(atoms=((0.0, 1.0),))
+    assert dual_bound(e1, synthesize(e1, 8), mu) == 0.0
+    assert math.isinf(dual_hmu(synthesize(e1, 8), mu, 1))
+    assert sum_norm(e1, mu, m=8, tol=1e-4).upper == 0.0
+
+
 def test_upper_bounded_by_single_routes(lebesgue):
     rng = rng_for(21)
     u = random_coeff_vector(rng, 6)
