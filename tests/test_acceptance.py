@@ -11,7 +11,6 @@ size it reads off the density at r = 1, and adds back its exact
 coefficients, which brings the error to ~2e-9.
 """
 
-import json
 import math
 import os
 import subprocess
@@ -22,9 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carleson_lab.fourier import CoeffVector
 from carleson_lab.halfplane import (
-    stability_constant,
     stability_ratio,
     w_pi_sup,
     w_pi_truncated_fourier_check,

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from carleson_lab.cli import EXIT_BAD_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main, resolve_measure
-from carleson_lab.measures import RadialMeasure, atom_disk, lebesgue_disk
+from carleson_lab.measures import atom_disk, lebesgue_disk
 
 jsonschema = pytest.importorskip("jsonschema")
 

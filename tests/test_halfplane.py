@@ -2,7 +2,9 @@
 Garnett's criterion, the stability inequality."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -90,6 +92,78 @@ def test_w_pi_atom_profile():
     assert w_pi(pi, -x) == -w_pi(pi, x)
 
 
+def kernel_ref(p, lo, hi):
+    """int_lo^hi t^p/(1+t^2) dt by mpmath quadrature: the part above t = 1 is
+    mapped to [1/hi, 1/lo] by t = 1/u, and each part over [l, h] in [0, 1]
+    is taken in w = t^(p+1) (w = log t at p = -1), where the integrand
+    1/(1 + w^(2/(p+1))) has no endpoint singularity."""
+    def part(q, l, h):
+        if l >= h:
+            return mpmath.mpf(0)
+        e = mpmath.mpf(q) + 1
+        if e == 0:
+            return mpmath.quad(lambda w: 1 / (1 + mpmath.exp(2 * w)), [mpmath.log(l), mpmath.log(h)])
+        ends = sorted([mpmath.mpf(l) ** e, mpmath.mpf(h) ** e])
+        return mpmath.quad(lambda w: 1 / (1 + w ** (2 / e)), ends) / abs(e)
+
+    with mpmath.workdps(30):
+        lo = mpmath.mpf(lo)
+        hi = mpmath.inf if math.isinf(hi) else mpmath.mpf(hi)
+        return part(p, lo, min(hi, 1)) + part(-p, 1 / max(hi, 1), 1 / max(lo, 1))
+
+
+def w_ref(x, atoms, pieces):
+    """V(x) = Im W(x): atoms exactly, each c*y^p dy piece on [a, b) as
+    c*s^p*kernel_ref(p, a/s, b/s) with s = pi*|x| (substitute y = s*t)."""
+    s = math.pi * abs(x)
+    total = sum(w * s / (y * y + s * s) for y, w in atoms)
+    for a, b, c, p in pieces:
+        total += c * s**p * float(kernel_ref(p, a / s, b / s))
+    return math.copysign(total, x)
+
+
+W_PIECES = [(0.0, 3.0, 1.3, p) for p in (-0.9, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)] \
+    + [(0.4, 5.0, 0.7, p) for p in (-0.9, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)] \
+    + [(0.0, INF, 1.0, p) for p in (-0.5, 0.0, 0.5)] + [(2.0, INF, 0.8, 0.9)] \
+    + [(0.5, 4.0, 1.1, -1.0), (0.5, 4.0, 1.1, -2.5), (1.5, INF, 0.6, -1.5)]
+
+
+@pytest.mark.parametrize("piece", W_PIECES, ids=[f"[{a},{b})p={p}" for a, b, _, p in W_PIECES])
+def test_w_pi_matches_mpmath(piece):
+    xs = np.logspace(-8, 8, 17)
+    pi = VerticalMeasure(pieces=(piece,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = w_pi(pi, np.concatenate([xs, -xs, [0.0]]))
+    assert np.all(w.real == 0.0)
+    v = w.imag
+    assert np.array_equal(v[17:34], -v[:17])  # odd
+    assert v[34] == 0.0
+    for x, got in zip(xs, v[:17]):
+        ref = w_ref(x, (), (piece,))
+        assert abs(got - ref) <= 1e-12 * abs(ref), (x, got, ref)
+
+
+def test_w_pi_atoms_and_pieces_match_mpmath():
+    atoms = ((0.3, 1.5), (7.0, 0.4))
+    pieces = ((0.0, 2.0, 1.0, 0.5), (2.0, INF, 0.5, -0.5))
+    pi = VerticalMeasure(atoms=atoms, pieces=pieces)
+    for x in np.logspace(-8, 8, 17):
+        ref = w_ref(x, atoms, pieces)
+        assert abs(w_pi(pi, x).imag - ref) <= 1e-12 * ref
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert w_pi(pi, 0.0) == 0.0
+
+
+def test_w_pi_power_touching_zero_tiny_x():
+    # y^{1/2} dy on (0, 5): the sup of V is O(1) but at x -> 0 V ~ (pi x)^{1/2} pi/sqrt(2)
+    pi = VerticalMeasure(pieces=(VerticalPiece(0.0, 5.0, 1.0, 0.5),))
+    for x in (1e-8, 1e-7, 1e-6):
+        ref = w_ref(x, (), ((0.0, 5.0, 1.0, 0.5),))
+        assert abs(w_pi(pi, x).imag - ref) <= 1e-12 * ref
+
+
 def test_w_pi_sup_values():
     assert w_pi_sup(lebesgue_halfplane()) == pytest.approx(math.pi / 2.0, abs=1e-10)
     assert w_pi_sup(atom_halfplane(0.5)) == pytest.approx(1.0, rel=1e-12)
@@ -141,6 +215,27 @@ def test_garnett_atom_at_origin_infinite():
 def test_garnett_unbounded_growth_infinite():
     nu = LineMeasure(pieces=(LinePiece(-INF, INF, 1.0, 1.0),))
     assert garnett_check(nu) == (INF, INF)
+
+
+GARNETT_PIECES = [(-2.0, 3.0, 1.0, 0.5), (-1.0, 1.0, 0.7, 0.0), (-4.0, 0.5, 1.2, 2.0), (0.5, 2.0, 1.0, -0.5),
+                  (-3.0, -0.2, 0.9, 1.0), (1.0, 2.0, 1.0, -2.0), (-INF, -1.0, 1.0, -0.5), (2.0, INF, 0.6, 0.0),
+                  (-INF, 0.0, 1.0, 0.0), (0.3, INF, 1.0, -1.5)]
+
+
+@pytest.mark.parametrize("piece", GARNETT_PIECES, ids=[f"[{a},{b})p={p}" for a, b, _, p in GARNETT_PIECES])
+def test_garnett_matches_mpmath(piece):
+    from carleson_lab.halfplane import GARNETT_GRID
+
+    a, b, c, p = piece
+    psup, _ = garnett_check(LineMeasure(atoms=((1.5, 0.3),), pieces=(piece,)))
+    refs = []
+    for y in GARNETT_GRID:
+        val = 0.3 * y / (1.5**2 + y * y)
+        for lo, hi in ((max(a, 0.0), max(b, 0.0)), (max(-b, 0.0), max(-a, 0.0))):
+            if lo < hi:
+                val += c * y**p * float(kernel_ref(p, lo / y, hi / y))
+        refs.append(val)
+    assert psup == pytest.approx(max(refs), rel=1e-12)
 
 
 def test_garnett_offaxis_atom_finite():

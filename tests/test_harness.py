@@ -2,7 +2,6 @@
 deterministic corpora."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -17,9 +16,6 @@ from carleson_lab.harness import (
     fejer_kernel,
     random_poly,
 )
-from carleson_lab.measures import lebesgue_disk, power_disk
-
-from conftest import random_coeff_vector, rng_for
 
 FAST = dict(m=64, tol=1e-3, max_iters=20_000)
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from carleson_lab.fourier import (
     CoeffVector,
-    analyze,
     evaluate,
     hilbert,
     multiplier,

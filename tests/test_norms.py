@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -105,6 +106,40 @@ def test_poisson_sup_infinite_for_noncarleson_tail():
 def test_poisson_sup_custom_grid():
     val = poisson_sup(atom_disk(0.5), theta_grid=[math.pi / 2.0])
     assert val == pytest.approx(1.0 / (0.25 + 1.0), rel=1e-12)
+
+
+def poisson_ref(pc, theta):
+    """int_a^b c*(1-r)^p*r^q * sin t/((r - cos t)^2 + sin^2 t) dr by mpmath
+    quadrature in r, split around the kernel's peak at r = cos t."""
+    with mpmath.workdps(30):
+        t = mpmath.mpf(theta)
+        s, co = mpmath.sin(t), mpmath.cos(t)
+        pts = {mpmath.mpf(pc.a), mpmath.mpf(pc.b)}
+        pts.update(co + k * s for k in (-100, -10, -3, -1, 0, 1, 3, 10, 100) if pc.a < co + k * s < pc.b)
+        return float(mpmath.quad(lambda r: pc.c * (1 - r) ** pc.p * r**pc.q * s / ((r - co) ** 2 + s * s),
+                                 sorted(pts)))
+
+
+POISSON_PIECES = [RadialPiece(0.0, 1.0, 1.0, p, q) for p in (0.01, 0.5, 1.0, 1.5, 2.0) for q in (0.0, 0.5)] + [
+    RadialPiece(0.0, 1.0, 1.0, 0.0, 1.0),  # r dr: p = 0, q = 1
+    RadialPiece(0.3, 1.0, 0.7, 1.7, 1.5),
+    RadialPiece(0.2, 0.9, 1.5, -0.5, 2.0),
+    RadialPiece(0.0, 0.999, 1.0, -0.5, 0.0),  # density singular just beyond b
+    RadialPiece(0.001, 0.5, 1.0, 1.5, 0.25),  # r^q singular just below a
+    RadialPiece(0.2, 0.7, 2.0, 0.0, 0.0),  # constant density: arctangent difference
+]
+
+
+@pytest.mark.parametrize("pc", POISSON_PIECES, ids=[f"[{pc.a},{pc.b})p={pc.p},q={pc.q}" for pc in POISSON_PIECES])
+def test_poisson_sup_matches_mpmath(pc):
+    grid = default_theta_grid()
+    thetas = grid[[0, 5, 100, 700, 1500, 2047]]
+    mu = RadialMeasure(atoms=((0.6, 0.4),), pieces=(pc,))
+    for theta in thetas:
+        s, co = math.sin(theta), math.cos(theta)
+        ref = poisson_ref(pc, theta) + 0.4 * s / ((0.6 - co) ** 2 + s * s)
+        assert poisson_sup(mu, theta_grid=[theta]) == pytest.approx(ref, rel=1e-12), theta
+    assert poisson_sup(mu) >= max(poisson_sup(mu, theta_grid=[t]) for t in thetas)
 
 
 def test_default_theta_grid_range():

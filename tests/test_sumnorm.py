@@ -10,7 +10,7 @@ from scipy.optimize import minimize
 
 from carleson_lab.fourier import CoeffVector, GridFunction, adapted_pair, multiplier, synthesize
 from carleson_lab.harness import random_poly
-from carleson_lab.measures import RadialMeasure, atom_disk, lebesgue_disk, moment_array, power_disk
+from carleson_lab.measures import RadialMeasure, moment_array, power_disk
 from carleson_lab.norms import hmu_norm, l2_norm
 from carleson_lab.sumnorm import dual_bound, dual_hmu, sum_norm
 
