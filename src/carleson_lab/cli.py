@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -17,7 +18,7 @@ import sys
 
 from . import __version__
 from .harness import corpus_scan, fejer_experiment, random_poly
-from .halfplane import const_bpi, garnett_check, w_pi_sup
+from .halfplane import const_bpi, garnett_check, stability_constant, w_pi_sup
 from .measures import (
     LineMeasure,
     RadialMeasure,
@@ -132,7 +133,10 @@ def emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    `main` call; its defaults are immutable, so calls stay independent."""
     ap = argparse.ArgumentParser(prog="carleson-lab",
                                  description="numerical experiments for weighted "
                                              "Bergman/Hardy sum-space norms")
@@ -159,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("embedding", help="analytic embedding ratio corpus"))
     p = sub.add_parser("fejer", help="Fejer kernel projection growth")
     common(p)
-    p.add_argument("--n-list", type=int, nargs="+", default=[2, 8, 32, 128, 512])
+    p.add_argument("--n-list", type=int, nargs="+", default=(2, 8, 32, 128, 512))
     common(sub.add_parser("wsigma", help="boundary weight Fourier identity check"))
     p = sub.add_parser("halfplane", help="half-plane weight sup and explicit constants")
     common(p, measure_default="lebesgue-halfplane")
@@ -216,7 +220,7 @@ def run(args) -> int:
             "w_sup": _fin(sup),
             "is_carleson": ok,
             "carleson_sup_ratio": _fin(ratio),
-            "stability_constant": _fin(2.0 * math.sqrt(2.0 + sup)),
+            "stability_constant": _fin(stability_constant(pi)),
             "const_b_pi": _fin(const_bpi(1.0, pi)),
         }
     elif cmd == "garnett":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -202,11 +203,13 @@ def default_x_grid() -> np.ndarray:
     return np.logspace(-8, 8, 4096)
 
 
+@lru_cache(maxsize=256)
 def w_pi_sup(pi: VerticalMeasure) -> float:
     """Sup of |W| over default_x_grid() plus the atoms' maximisers y/pi, all
     evaluated in closed form in one array call (V is odd, so x > 0 suffices);
     +inf when the vertical Carleson criterion fails (the weight is then
-    unbounded)."""
+    unbounded).  Memoised per measure, so stability_constant and const_bpi
+    of one measure share one evaluation."""
     _, ok = vertical_carleson(pi)
     if not ok:
         return INF

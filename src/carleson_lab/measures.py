@@ -3,8 +3,11 @@ and line measures on the real axis.
 
 Every measure is a finite list of atoms plus piecewise power-law
 densities, so moments, tail masses and Laplace transforms have closed
-forms (incomplete beta / gamma) with a log-domain quadrature fallback
-for values below the double-precision floor.
+forms (incomplete beta / gamma).  Where scipy's regularized incomplete
+beta underflows, a log-domain continued fraction (DLMF 8.17.22) takes
+over, so moments and tail masses far below the double-precision floor keep
+their relative accuracy.  A tail of a piece reaching r = 1 is taken as
+B_delta(p+1, q+1) in delta itself.
 """
 
 from __future__ import annotations
@@ -95,39 +98,90 @@ def _set_atoms_and_pieces(measure, piece_cls) -> None:
         raise ValueError("measure must have at least one atom or piece")
 
 
-def _log_beta_segment(m: float, p: float, a: float, b: float) -> float:
-    """log of int_a^b r^m (1-r)^p dr for 0 <= a < b <= 1, m >= 0, p > -1."""
+_CF_EPS = np.finfo(float).eps  # convergence of a continued-fraction step to 1
+_CF_TINY = 1e-300  # modified Lentz replaces zero denominators by this
+_CF_MAX_TERMS = 1000  # cap on terms; below (a+1)/(a+b+2) under 100 suffice up to a = 1e8
+
+
+def _log_inc_beta(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log B_x(a, b) = log int_0^x t^(a-1) (1-t)^(b-1) dt, elementwise, for
+    0 <= x <= (a+1)/(a+b+2), where the continued fraction of DLMF 8.17.22,
+
+        B_x(a, b) = x^a (1-x)^b / a * 1/(1+ d_1/(1+ d_2/(1+ ...))),
+
+    converges fast.  Evaluated by modified Lentz in the log domain, so values
+    far below the double-precision floor keep their relative accuracy;
+    converged entries leave the working arrays."""
+    with np.errstate(divide="ignore"):
+        log_pref = a * np.log(x) + b * np.log1p(-x) - np.log(a)
+    cf = np.empty(x.shape)
+    idx = np.arange(x.size)
+    x, a, b = x.ravel(), a.ravel(), b.ravel()
+
+    def nonzero(v):
+        return np.where(np.abs(v) < _CF_TINY, _CF_TINY, v)
+
+    c = np.ones(x.size)
+    d = 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
+    h = d.copy()
+    k = 0
+    while idx.size:
+        k += 1
+        # d_{2k}, then d_{2k+1}
+        for num in (k * (b - k) * x / ((a + 2 * k - 1.0) * (a + 2 * k)),
+                    -(a + k) * (a + b + k) * x / ((a + 2 * k) * (a + 2 * k + 1.0))):
+            d = 1.0 / nonzero(1.0 + num * d)
+            c = nonzero(1.0 + num / c)
+            step = d * c
+            h = h * step
+        done = (np.abs(step - 1.0) <= _CF_EPS) | (k >= _CF_MAX_TERMS)
+        if done.any():
+            cf.flat[idx[done]] = h[done]
+            keep = ~done
+            idx, x, a, b, c, d, h = (v[keep] for v in (idx, x, a, b, c, d, h))
+    return log_pref + np.log(cf)
+
+
+def _log_sub(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """log(e^u - e^v) for u >= v; -inf where u = -inf or u = v (a segment
+    too narrow for its two tails to differ in double precision)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(u == -INF, -INF, u + np.log1p(-np.exp(v - u)))
+
+
+def _log_beta_segment(m, p, a, b) -> np.ndarray:
+    """log of int_a^b r^m (1-r)^p dr, elementwise, for 0 <= a <= b <= 1 and
+    m, p > -1, with no betainc and no quadrature.
+
+    The segment is split at s = (m+2)/(m+p+4), the point below which the
+    continued fraction of _log_inc_beta converges fast for B(m+1, p+1) and
+    above which it converges fast for the mirrored B(p+1, m+1): the part
+    below s is B_min(b,s) - B_a, the part above is the difference of the
+    mirrored lower tails at 1 - max(a, s) and 1 - b.  Each part is a
+    difference of two tails of which the larger is nearer s, so no full
+    beta function (whose betaln loses up to 1e-13 at large m) enters."""
+    m, p, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (m, p, a, b)))
+    al, be = m + 1.0, p + 1.0
+    s = (al + 1.0) / (al + be + 2.0)
+    below_hi = np.where(a < s, np.minimum(b, s), 0.0)
+    below_lo = np.minimum(a, below_hi)
+    above_lo = np.where(b > s, 1.0 - np.maximum(a, s), 0.0)
+    above_hi = np.minimum(1.0 - b, above_lo)
+    logs = _log_inc_beta(np.stack([below_hi, below_lo, above_lo, above_hi]),
+                         np.stack([al, al, be, be]), np.stack([be, be, al, al]))
+    return np.logaddexp(_log_sub(logs[0], logs[1]), _log_sub(logs[2], logs[3]))
+
+
+def _log_segment(m, p, a, b) -> np.ndarray:
+    """log of int_a^b r^m (1-r)^p dr, elementwise: scipy's betainc difference
+    where it is representable (above 1e-280), else _log_beta_segment."""
     full = betaln(m + 1.0, p + 1.0)
-    if a <= 0.0 and b >= 1.0:
-        return float(full)
     d = betainc(m + 1.0, p + 1.0, b) - betainc(m + 1.0, p + 1.0, a)
-    if d > 1e-280:
-        return float(full + math.log(d))
-    # regularized incomplete beta underflows; integrate exp(g) around its max
-    return _log_quad_segment(m, p, a, b)
-
-
-def _log_quad_segment(m: float, p: float, a: float, b: float) -> float:
-    """Log-domain Gauss-Legendre for int_a^b exp(m*log r + p*log(1-r)) dr."""
-    lo, hi = max(a, 1e-300), min(b, 1.0 - 1e-16)
-
-    def g(r):
-        return m * np.log(r) + p * np.log1p(-r)
-
-    scan = np.linspace(lo, hi, 4001)
-    gs = g(scan)
-    k = int(np.argmax(gs))
-    gmax = gs[k]
-    keep = np.where(gs >= gmax - 80.0)[0]
-    lo2, hi2 = scan[keep[0]], scan[keep[-1]]
-    if keep[0] > 0:
-        lo2 = scan[keep[0] - 1]
-    if keep[-1] < len(scan) - 1:
-        hi2 = scan[keep[-1] + 1]
-    x, w = np.polynomial.legendre.leggauss(200)
-    mid, half = 0.5 * (hi2 + lo2), 0.5 * (hi2 - lo2)
-    nodes = mid + half * x
-    return float(logsumexp(g(nodes) + np.log(w * half)))
+    out = np.where(d > 1e-280, full + np.log(np.maximum(d, 1e-300)), -INF)
+    bad = d <= 1e-280
+    if bad.any():
+        out[bad] = _log_beta_segment(*(np.broadcast_to(v, d.shape)[bad] for v in (m, p, a, b)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -143,16 +197,27 @@ class RadialMeasure:
             if not 0.0 <= r < 1.0:
                 raise ValueError(f"atom radius {r} outside [0, 1)")
 
-    def tail_mass(self, delta: float) -> float:
-        """sigma([1-delta, 1))."""
-        lo = 1.0 - delta
-        total = sum(w for r, w in self.atoms if r >= lo)
-        for pc in self.pieces:
-            a = max(pc.a, lo)
-            if a >= pc.b:
-                continue
-            total += pc.c * math.exp(_log_beta_segment(pc.q, pc.p, a, pc.b))
-        return total
+    def tail_mass(self, delta):
+        """sigma([1-delta, 1)), elementwise over an array of delta.
+
+        A piece reaching r = 1 contributes c*B_delta(p+1, q+1), taken from
+        delta itself: 1 - I_{1-delta} would cancel once delta^(p+1) nears
+        the float epsilon."""
+        d = np.asarray(delta, dtype=float)
+        lo = 1.0 - d
+        total = np.zeros(d.shape)
+        for r, w in self.atoms:
+            total += np.where(r >= lo, w, 0.0)
+        with np.errstate(under="ignore"):
+            for pc in self.pieces:
+                if pc.b >= 1.0:
+                    width = np.clip(d, 0.0, 1.0 - pc.a)
+                    total += pc.c * np.exp(_log_segment(pc.p, pc.q, 0.0, width))
+                    continue
+                a = np.maximum(pc.a, lo)
+                inside = a < pc.b
+                total[inside] += pc.c * np.exp(_log_segment(pc.q, pc.p, a[inside], pc.b))
+        return float(total) if total.ndim == 0 else total
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RadialMeasure":
@@ -317,13 +382,7 @@ def log_moment_array(mu: RadialMeasure, n_max: int) -> np.ndarray:
         if pc.a <= 0.0 and pc.b >= 1.0:
             col = math.log(pc.c) + betaln(m + 1.0, pc.p + 1.0)
         else:
-            full = betaln(m + 1.0, pc.p + 1.0)
-            d = betainc(m + 1.0, pc.p + 1.0, pc.b) - betainc(m + 1.0, pc.p + 1.0, pc.a)
-            col = np.where(d > 1e-280, full + np.log(np.maximum(d, 1e-300)), -INF)
-            bad = np.where(d <= 1e-280)[0]
-            for j in bad:
-                col[j] = _log_quad_segment(m[j], pc.p, pc.a, pc.b)
-            col = math.log(pc.c) + col
+            col = math.log(pc.c) + _log_segment(m, pc.p, pc.a, pc.b)
         logs.append(col)
     stacked = np.vstack(logs)
     return logsumexp(stacked, axis=0)
@@ -354,8 +413,7 @@ def radial_carleson(mu: RadialMeasure, delta_grid: Sequence[float] | None = None
             raise ValueError("delta grid must be nonempty")
     if not ok:
         return INF, False
-    ratio = max(mu.tail_mass(d) / d for d in grid)
-    return float(ratio), True
+    return float(np.max(mu.tail_mass(grid) / grid)), True
 
 
 def boundary_accessible(mu: RadialMeasure) -> bool:

@@ -62,9 +62,13 @@ def _radial_panels(a: float, b: float) -> np.ndarray:
     return np.asarray(pts)
 
 
+_GAUSS24 = np.polynomial.legendre.leggauss(24)  # w_sigma's panel rule on [-1, 1]
+_THETA_BLOCK = 256  # theta values per block in w_sigma and poisson_sup, to bound their node arrays
+
+
 def _piece_quad_nodes(a: float, b: float):
     """Composite 24-point Gauss-Legendre nodes/weights on graded panels of [a, b)."""
-    x, w = np.polynomial.legendre.leggauss(24)
+    x, w = _GAUSS24
     brk = _radial_panels(a, b)
     mids = 0.5 * (brk[1:] + brk[:-1])
     halfs = 0.5 * (brk[1:] - brk[:-1])
@@ -93,9 +97,11 @@ def w_sigma(mu: RadialMeasure, m: int) -> GridFunction:
     for pc in mu.pieces:
         nodes, wts = _piece_quad_nodes(pc.a, pc.b)
         r2 = nodes**2
-        dens = pc.c * (1.0 - nodes) ** pc.p * nodes**pc.q * wts
-        denom = (r2[:, None] - cos_t[None, :]) ** 2 + sin_t[None, :] ** 2
-        vals += sin_t * np.sum((dens * r2)[:, None] / denom, axis=0)
+        weighted = (pc.c * (1.0 - nodes) ** pc.p * nodes**pc.q * wts * r2)[:, None]
+        for lo in range(0, m, _THETA_BLOCK):
+            blk = slice(lo, lo + _THETA_BLOCK)
+            denom = (r2[:, None] - cos_t[None, blk]) ** 2 + sin_t[None, blk] ** 2
+            vals[blk] += sin_t[blk] * np.sum(weighted / denom, axis=0)
     return GridFunction(2j * vals)
 
 
@@ -137,7 +143,6 @@ def default_theta_grid(k: int = 2048) -> np.ndarray:
     return math.pi * np.sin(0.5 * math.pi * u) ** 2
 
 
-_THETA_BLOCK = 256  # theta values per block in poisson_sup, to bound its node arrays
 _PANEL_WIDTH = 2.0  # largest panel width in v of poisson_sup's composite rule
 _PANEL_ORDER = 16  # Gauss nodes per panel
 _MAX_GRADING = 40  # most geometric panels toward an end of a poisson_sup piece

@@ -7,8 +7,16 @@ import os
 
 import pytest
 
-from carleson_lab.cli import EXIT_BAD_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main, resolve_measure
-from carleson_lab.measures import atom_disk, lebesgue_disk
+from carleson_lab.cli import (
+    EXIT_BAD_INPUT,
+    EXIT_NO_CONVERGENCE,
+    EXIT_OK,
+    build_parser,
+    main,
+    resolve_measure,
+)
+from carleson_lab.halfplane import stability_constant, w_pi_sup
+from carleson_lab.measures import atom_disk, atom_halfplane, lebesgue_disk
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -102,6 +110,16 @@ def test_fejer_command_csv(tmp_path):
     assert len(lines) == 3
 
 
+def test_shared_parser_keeps_calls_independent(tmp_path):
+    # one parser per process: its defaults must not carry state between calls
+    assert build_parser() is build_parser()
+    for n_list in (["2", "8"], ["4"], []):
+        code, text = run_cli(tmp_path, "fejer", *(["--n-list", *n_list] if n_list else []))
+        assert code == EXIT_OK
+        rows = json.loads(text)["results"]
+        assert [row["n"] for row in rows] == ([int(n) for n in n_list] or [2, 8, 32, 128, 512])
+
+
 def test_wsigma_command(tmp_path):
     code, text = run_cli(tmp_path, "wsigma", "--measure", "atom:r=0.5", "--n-max", "16",
                          "--grid", "256")
@@ -117,6 +135,17 @@ def test_halfplane_command(tmp_path):
     jsonschema.validate(doc, SCHEMA)
     assert doc["results"]["w_sup"] == pytest.approx(math.pi / 2.0)
     assert doc["results"]["stability_constant"] == pytest.approx(2.0 * math.sqrt(2.0 + math.pi / 2.0))
+
+
+def test_halfplane_command_evaluates_w_sup_once(tmp_path):
+    # w_sup, stability_constant and const_b_pi share one memoised w_pi_sup
+    w_pi_sup.cache_clear()
+    code, text = run_cli(tmp_path, "halfplane", "--measure", "atom:y=2")
+    assert code == EXIT_OK
+    info = w_pi_sup.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    results = json.loads(text)["results"]
+    assert results["stability_constant"] == stability_constant(atom_halfplane(2.0))
 
 
 def test_garnett_command(tmp_path):

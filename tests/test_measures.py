@@ -2,11 +2,14 @@
 Laplace transforms, serialization."""
 
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 
 from carleson_lab.measures import (
+    DELTA_GRID,
     INF,
     TWO,
     LineMeasure,
@@ -30,6 +33,7 @@ from carleson_lab.measures import (
     singular_integral,
     vertical_carleson,
 )
+from carleson_lab.measures import _log_beta_segment
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +116,94 @@ def test_log_moments_beyond_float_floor():
 
 
 def test_log_moments_truncated_piece_fallback():
-    # the regularized incomplete beta underflows; quadrature fallback engages
+    # the regularized incomplete beta underflows; the continued fraction engages
     mu = RadialMeasure(pieces=(RadialPiece(0.0, 0.5, 1.0, 0.0, 0.0),))
     ls = log_moment_array(mu, 600)
     # sigma_n = int_0^0.5 r^{2n} dr = 0.5^{2n+1}/(2n+1)
     n = 500
     ref = (2 * n + 1) * math.log(0.5) - math.log(2 * n + 1)
     assert ls[n] == pytest.approx(ref, rel=1e-8)
+
+
+def lower_beta_ref(a, b, x):
+    """B_x(a, b) at the working precision: where x*max(a+b, a+1)/(a+1) <= 0.95,
+    by the series of DLMF 8.17.8, x^a (1-x)^b / a * sum_n (a+b)_n/(a+1)_n x^n,
+    whose terms then fall geometrically (mpmath.betainc can take seconds there
+    at a = 20 001); elsewhere by mpmath.betainc."""
+    a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+    if x * max(a + b, a + 1) / (a + 1) > 0.95:
+        return mpmath.betainc(a, b, 0, x)
+    term, total, n = mpmath.mpf(1), mpmath.mpf(0), 0
+    while term > total * mpmath.eps:
+        total += term
+        term *= (a + b + n) / (a + 1 + n) * x
+        n += 1
+    return x**a * (1 - x) ** b / a * total
+
+
+def beta_segment_ref(m, p, a, b):
+    """log int_a^b r^m (1-r)^p dr as a difference of lower incomplete betas
+    at 40 digits."""
+    with mpmath.workdps(40):
+        lower = [lower_beta_ref(m + 1, p + 1, x) for x in (a, b)]
+        return float(mpmath.log(lower[1] - lower[0]))
+
+
+@pytest.mark.parametrize("m", [0, 3, 40, 400, 4096, 20_000])
+def test_log_beta_segment_matches_mpmath(m):
+    # relative error of the integral, read as the error of its logarithm
+    tol = 1e-12 if m <= 400 else 5e-11
+    for p in (-0.95, -0.5, 0.0, 0.5, 1.9, 3.0):
+        s = (m + 2.0) / (m + p + 4.0)  # where _log_beta_segment splits
+        segs = [(0.0, 0.8 * s), (0.3 * s, 0.9 * s),  # below
+                (s + 0.1 * (1.0 - s), s + 0.6 * (1.0 - s)), (s + 0.5 * (1.0 - s), 1.0),  # above
+                (0.5 * s, s + 0.5 * (1.0 - s)), (0.0, 1.0)]  # across
+        lo, hi = np.array(segs).T
+        got = _log_beta_segment(m, p, lo, hi)
+        for a, b, g in zip(lo, hi, got):
+            ref = beta_segment_ref(m, p, a, b)
+            assert abs(g - ref) <= tol, (m, p, a, b, g, ref)
+
+
+def test_moments_where_betainc_underflows():
+    # I_0.6(2n+1, 1.5) underflows from n ~ 630 on; those rows come from the
+    # continued fraction in one call, not from a quadrature per row
+    mu = power_disk(0.5, b=0.6)
+    t0 = time.perf_counter()
+    ls = log_moment_array(mu, 2048)
+    elapsed = time.perf_counter() - t0
+    for n in (0, 300, 600, 700, 1500, 2048):
+        assert abs(ls[n] - beta_segment_ref(2 * n, 0.5, 0.0, 0.6)) <= 1e-12 * max(1.0, n / 100)
+    assert np.all(np.diff(ls) < 0.0)
+    assert elapsed < 1.0  # 10 s with a quadrature per underflowing row
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, 1.9, 3.0, 50.0])
+def test_tail_mass_power_closed_form(p):
+    # sigma([1-d, 1)) = d^{p+1}/(p+1); 1 - I_{1-d} cancels once d^{p+1} nears
+    # the float epsilon, so the tail is taken as B_d(p+1, 1) from d itself
+    ref = DELTA_GRID ** (p + 1.0) / (p + 1.0)
+    with np.errstate(under="ignore"):
+        tails = power_disk(p).tail_mass(DELTA_GRID)
+    ok = ref > 1e-300
+    assert np.max(np.abs(tails[ok] / ref[ok] - 1.0)) < 1e-13
+    ratio, is_carleson = radial_carleson(power_disk(p))
+    assert is_carleson and ratio == pytest.approx(float(np.max(ref / DELTA_GRID)), rel=1e-13)
+
+
+def test_tail_mass_pieces_match_mpmath():
+    mu = RadialMeasure(atoms=((0.95, 0.5),),
+                       pieces=((0.3, 1.0, 2.0, 1.5, 2.0), (0.1, 0.8, 1.0, -0.5, 3.0)))
+    deltas = np.array([1e-6, 0.01, 0.1, 0.5, 0.8, 0.95])
+    got = mu.tail_mass(deltas)
+    for d, g in zip(deltas, got):
+        ref = 0.5 * (0.95 >= 1.0 - d)
+        for pc in mu.pieces:
+            lo = max(pc.a, 1.0 - d)
+            if lo < pc.b:
+                ref += pc.c * math.exp(beta_segment_ref(pc.q, pc.p, lo, pc.b))
+        assert g == pytest.approx(ref, rel=1e-13)
+        assert mu.tail_mass(float(d)) == g
 
 
 def test_atom_at_origin_moments():

@@ -9,6 +9,8 @@ import pytest
 from carleson_lab.fourier import CoeffVector, analyze, synthesize
 from carleson_lab.measures import RadialMeasure, RadialPiece, atom_disk, lebesgue_disk, moment_array, power_disk
 from carleson_lab.norms import (
+    _THETA_BLOCK,
+    _piece_quad_nodes,
     a2_norm,
     analyze_w_sigma_errors,
     cauchy_kernel_bound,
@@ -81,6 +83,24 @@ def test_w_sigma_imaginary_odd():
     v = g.samples.imag
     assert abs(v[0]) < 1e-14
     assert np.max(np.abs(v[1:] + v[:0:-1])) < 1e-12  # odd in theta
+
+
+def test_w_sigma_theta_blocks_match_one_array():
+    # the node x theta kernel is summed in blocks of _THETA_BLOCK angles; the
+    # sums, and their order, are those of one node x theta array
+    m = 2 * _THETA_BLOCK + 88
+    mu = RadialMeasure(atoms=((0.6, 0.5),),
+                       pieces=(RadialPiece(0.0, 0.5, 1.0, 0.3, 1.0), RadialPiece(0.5, 1.0, 2.0, 1.5, 0.0)))
+    theta = 2.0 * math.pi * np.arange(m) / m
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    vals = 0.5 * 0.36 * sin_t / ((0.36 - cos_t) ** 2 + sin_t**2)
+    for pc in mu.pieces:
+        nodes, wts = _piece_quad_nodes(pc.a, pc.b)
+        r2 = nodes**2
+        dens = pc.c * (1.0 - nodes) ** pc.p * nodes**pc.q * wts
+        denom = (r2[:, None] - cos_t[None, :]) ** 2 + sin_t[None, :] ** 2
+        vals += sin_t * np.sum((dens * r2)[:, None] / denom, axis=0)
+    assert np.array_equal(w_sigma(mu, m).samples, 2j * vals)
 
 
 def test_w_sigma_warns_non_carleson():

@@ -1,6 +1,7 @@
 """Unit tests for the certified sum-space norm solver, including two
 independent oracles on small instances: a cvxpy second-order-cone program
-(skipped where cvxpy is missing) and an SLSQP solve of the smooth dual."""
+(skipped where cvxpy is missing) and an SLSQP solve of the smooth dual;
+`reference_oracle` picks the first where it can run, else the second."""
 
 import math
 
@@ -67,8 +68,24 @@ def slsqp_dual_oracle(u: CoeffVector, mu: RadialMeasure, m: int) -> float:
     ]
     res = minimize(lambda x: float(grad @ x), np.zeros(2 * m), jac=lambda x: grad,
                    constraints=cons, method="SLSQP", options={"ftol": 1e-14, "maxiter": 1000})
-    assert res.success, res.message
-    return -float(res.fun)
+    # SLSQP ends in exit mode 8 ("positive directional derivative for
+    # linesearch") where it stalls at ftol 1e-14, up to ~1e-8 outside
+    # |psi_k| <= 1; scaling psi back into both constraints makes the returned
+    # value a weak-duality lower bound either way
+    assert res.success or res.status == 8, res.message
+    p = psi(res.x)
+    p = p / np.maximum(1.0, np.abs(p))
+    p = p / max(1.0, float(np.linalg.norm(A @ p)))
+    return float(np.vdot(ug, p).real) / m
+
+
+def reference_oracle(u: CoeffVector, mu: RadialMeasure, m: int) -> float:
+    """socp_oracle where cvxpy is installed, else slsqp_dual_oracle."""
+    try:
+        import cvxpy  # noqa: F401
+    except ImportError:
+        return slsqp_dual_oracle(u, mu, m)
+    return socp_oracle(u, mu, m)
 
 
 def test_zero_input(lebesgue):
