@@ -100,7 +100,7 @@ def _set_atoms_and_pieces(measure, piece_cls) -> None:
 
 _CF_EPS = np.finfo(float).eps  # convergence of a continued-fraction step to 1
 _CF_TINY = 1e-300  # modified Lentz replaces zero denominators by this
-_CF_MAX_TERMS = 1000  # cap on terms; below (a+1)/(a+b+2) under 100 suffice up to a = 1e8
+_CF_MAX_TERMS = 1000  # cap on terms; below (a+1)/(a+b+2) under 100 were needed up to a = 1e8
 
 
 def _log_inc_beta(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -62,13 +62,20 @@ def _radial_panels(a: float, b: float) -> np.ndarray:
     return np.asarray(pts)
 
 
-_GAUSS24 = np.polynomial.legendre.leggauss(24)  # w_sigma's panel rule on [-1, 1]
 _THETA_BLOCK = 256  # theta values per block in w_sigma and poisson_sup, to bound their node arrays
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre_24():
+    """w_sigma's 24-point Gauss-Legendre panel rule on [-1, 1], computed on
+    first use (importing numpy.polynomial costs memory that callers without
+    w_sigma need not pay)."""
+    return np.polynomial.legendre.leggauss(24)
 
 
 def _piece_quad_nodes(a: float, b: float):
     """Composite 24-point Gauss-Legendre nodes/weights on graded panels of [a, b)."""
-    x, w = _GAUSS24
+    x, w = _gauss_legendre_24()
     brk = _radial_panels(a, b)
     mids = 0.5 * (brk[1:] + brk[:-1])
     halfs = 0.5 * (brk[1:] - brk[:-1])
