@@ -13,7 +13,7 @@ B_delta(p+1, q+1) in delta itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import Sequence
 
@@ -83,19 +83,6 @@ class LinePiece:
             raise ValueError("piece coefficient must be positive")
         if self.p <= -1 and self.a <= 0.0 <= self.b:
             raise ValueError("piece covering 0 needs p > -1 for local finiteness")
-
-
-def _set_atoms_and_pieces(measure, piece_cls) -> None:
-    """Store a frozen measure's atoms as float (position, weight) pairs and
-    its pieces as piece_cls; reject nonpositive weights and empty measures."""
-    atoms = tuple((float(x), float(w)) for x, w in measure.atoms)
-    pieces = tuple(p if isinstance(p, piece_cls) else piece_cls(*p) for p in measure.pieces)
-    object.__setattr__(measure, "atoms", atoms)
-    object.__setattr__(measure, "pieces", pieces)
-    if any(w <= 0 for _, w in atoms):
-        raise ValueError("atom weight must be positive")
-    if not atoms and not pieces:
-        raise ValueError("measure must have at least one atom or piece")
 
 
 _CF_EPS = np.finfo(float).eps  # convergence of a continued-fraction step to 1
@@ -184,15 +171,58 @@ def _log_segment(m, p, a, b) -> np.ndarray:
     return out
 
 
+def encode_inf(x):
+    """+-inf as "inf" / "-inf", which JSON can carry and float reads back."""
+    return str(x) if isinstance(x, float) and math.isinf(x) else x
+
+
 @dataclass(frozen=True)
-class RadialMeasure:
-    """sigma(dr) on [0,1); generates the radial measure mu(dz) = sigma(dr) dtheta."""
+class _Measure:
+    """Atoms (position, weight) plus power-law pieces.  A subclass names its
+    atoms' position key (POSITION) and its piece class (PIECE); its measure
+    file is {"atoms": [{POSITION: x, "w": w}, ...], "pieces": [{<PIECE
+    fields>}, ...]}, and from_dict rejects any other key."""
 
     atoms: tuple = ()
     pieces: tuple = ()
 
     def __post_init__(self):
-        _set_atoms_and_pieces(self, RadialPiece)
+        atoms = tuple((float(x), float(w)) for x, w in self.atoms)
+        pieces = tuple(p if isinstance(p, self.PIECE) else self.PIECE(*p) for p in self.pieces)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "pieces", pieces)
+        if any(w <= 0 for _, w in atoms):
+            raise ValueError("atom weight must be positive")
+        if not atoms and not pieces:
+            raise ValueError("measure must have at least one atom or piece")
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        atoms, pieces = doc.get("atoms", []), doc.get("pieces", [])
+        piece_keys = tuple(f.name for f in fields(cls.PIECE))
+        for part, keys in [(doc, ("atoms", "pieces")), *((a, (cls.POSITION, "w")) for a in atoms),
+                           *((p, piece_keys) for p in pieces)]:
+            unknown = sorted(set(part) - set(keys))
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r}; allowed: {', '.join(keys)}")
+        return cls(tuple((float(a[cls.POSITION]), float(a["w"])) for a in atoms),
+                   tuple(cls.PIECE(**{k: float(v) for k, v in p.items()}) for p in pieces))
+
+    def to_dict(self) -> dict:
+        return {
+            "atoms": [{self.POSITION: x, "w": w} for x, w in self.atoms],
+            "pieces": [{k: encode_inf(v) for k, v in asdict(p).items()} for p in self.pieces],
+        }
+
+
+@dataclass(frozen=True)
+class RadialMeasure(_Measure):
+    """sigma(dr) on [0,1); generates the radial measure mu(dz) = sigma(dr) dtheta."""
+
+    POSITION, PIECE = "r", RadialPiece
+
+    def __post_init__(self):
+        super().__post_init__()
         for r, _ in self.atoms:
             if not 0.0 <= r < 1.0:
                 raise ValueError(f"atom radius {r} outside [0, 1)")
@@ -219,32 +249,15 @@ class RadialMeasure:
                 total[inside] += pc.c * np.exp(_log_segment(pc.q, pc.p, a[inside], pc.b))
         return float(total) if total.ndim == 0 else total
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RadialMeasure":
-        atoms = tuple((float(a["r"]), float(a["w"])) for a in doc.get("atoms", []))
-        pieces = tuple(
-            RadialPiece(float(p["a"]), float(p["b"]), float(p["c"]), float(p["p"]),
-                        float(p.get("q", 0.0)))
-            for p in doc.get("pieces", [])
-        )
-        return cls(atoms, pieces)
-
-    def to_dict(self) -> dict:
-        return {
-            "atoms": [{"r": r, "w": w} for r, w in self.atoms],
-            "pieces": [{"a": p.a, "b": p.b, "c": p.c, "p": p.p, "q": p.q} for p in self.pieces],
-        }
-
 
 @dataclass(frozen=True)
-class VerticalMeasure:
+class VerticalMeasure(_Measure):
     """Pi(dy) on (0, inf); generates mu(dz) = dx Pi(dy) on the half-plane."""
 
-    atoms: tuple = ()
-    pieces: tuple = ()
+    POSITION, PIECE = "y", VerticalPiece
 
     def __post_init__(self):
-        _set_atoms_and_pieces(self, VerticalPiece)
+        super().__post_init__()
         if any(y <= 0 for y, _ in self.atoms):
             raise ValueError("atom height must be positive")
 
@@ -276,33 +289,14 @@ class VerticalMeasure:
             raise ValueError(f"truncation to ({eps}, {R}) leaves an empty measure")
         return VerticalMeasure(atoms, pieces)
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "VerticalMeasure":
-        atoms = tuple((float(a["y"]), float(a["w"])) for a in doc.get("atoms", []))
-        pieces = tuple(
-            VerticalPiece(float(p["a"]), float(p["b"]), float(p["c"]), float(p["p"]))
-            for p in doc.get("pieces", [])
-        )
-        return cls(atoms, pieces)
-
-    def to_dict(self) -> dict:
-        return {
-            "atoms": [{"y": y, "w": w} for y, w in self.atoms],
-            "pieces": [{"a": p.a, "b": _dump_inf(p.b), "c": p.c, "p": p.p} for p in self.pieces],
-        }
-
 
 @dataclass(frozen=True)
-class LineMeasure:
+class LineMeasure(_Measure):
     """nu(dt) on R: atoms anywhere, two-sided power-law pieces. Used for
     Garnett's criterion; integrability against (1+t^2)^{-1} is checked
     analytically, not enforced at construction."""
 
-    atoms: tuple = ()
-    pieces: tuple = ()
-
-    def __post_init__(self):
-        _set_atoms_and_pieces(self, LinePiece)
+    POSITION, PIECE = "t", LinePiece
 
     def poisson_integrable(self) -> bool:
         """True iff int (1+t^2)^{-1} nu(dt) < infinity."""
@@ -317,15 +311,6 @@ class LineMeasure:
         for pc in self.pieces:
             total += _line_piece_mass(pc, -L, L)
         return total
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "LineMeasure":
-        atoms = tuple((float(a["t"]), float(a["w"])) for a in doc.get("atoms", []))
-        pieces = tuple(
-            LinePiece(float(p["a"]), float(p["b"]), float(p["c"]), float(p["p"]))
-            for p in doc.get("pieces", [])
-        )
-        return cls(atoms, pieces)
 
 
 def _line_piece_mass(pc: LinePiece, lo: float, hi: float) -> float:
@@ -343,10 +328,6 @@ def _line_piece_mass(pc: LinePiece, lo: float, hi: float) -> float:
         return math.copysign(abs(t) ** (pc.p + 1.0) / (pc.p + 1.0), t)
 
     return pc.c * (prim(b) - prim(a))
-
-
-def _dump_inf(x: float):
-    return "inf" if math.isinf(x) else x
 
 
 # ---------------------------------------------------------------------------

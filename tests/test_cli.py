@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface: builtin measures, report
 schema, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -16,7 +17,17 @@ from carleson_lab.cli import (
     resolve_measure,
 )
 from carleson_lab.halfplane import stability_constant, w_pi_sup
-from carleson_lab.measures import atom_disk, atom_halfplane, lebesgue_disk
+from carleson_lab.measures import (
+    LineMeasure,
+    RadialMeasure,
+    RadialPiece,
+    VerticalMeasure,
+    atom_disk,
+    atom_halfplane,
+    lebesgue_disk,
+    lebesgue_line,
+    power_disk,
+)
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -41,6 +52,26 @@ def test_resolve_builtin_names():
     assert pi.atoms == ((2.0, 1.0),)
     nu = resolve_measure("power:p=0", "line")
     assert math.isinf(nu.pieces[0].b)
+
+
+def test_spec_honours_every_piece_field_and_rejects_unknown_keys(capsys):
+    assert resolve_measure("power:p=1,q=2,a=0.5", "radial") == RadialMeasure(
+        pieces=(RadialPiece(0.5, 1.0, 1.0, 1.0, 2.0),))
+    assert resolve_measure("power:p=1,b=0.5,c=2", "radial") == power_disk(1.0, b=0.5, c=2.0)
+    assert resolve_measure("power:p=-0.5,a=1,b=2,c=3", "vertical") == VerticalMeasure(
+        pieces=((1.0, 2.0, 3.0, -0.5),))
+    assert resolve_measure("atom:t=-1,w=2", "line") == LineMeasure(atoms=((-1.0, 2.0),))
+    for argv, key in ((["halfplane", "--measure", "power:p=1,zz=3"], "zz"),
+                      (["carleson", "--measure", "atom:r=0.5,y=3"], "y"),
+                      (["garnett", "--measure", "power:p=0,q=1"], "q")):
+        assert main(argv) == EXIT_BAD_INPUT
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+
+
+def test_schema_command_enum_matches_parser():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert "adapted" in sub.choices
+    assert sorted(SCHEMA["properties"]["command"]["enum"]) == sorted(sub.choices)
 
 
 def test_resolve_rejects_bad_names():
@@ -162,6 +193,11 @@ def test_measure_file_round_trip(tmp_path):
     code, text = run_cli(tmp_path, "carleson", "--measure", str(path))
     assert code == EXIT_OK
     assert json.loads(text)["results"]["sup_ratio"] == pytest.approx(4.0)
+    # a line measure file reads back to the results of the builtin it was written from
+    path.write_text(json.dumps(lebesgue_line().to_dict()))
+    reports = [json.loads(run_cli(tmp_path, "garnett", *argv)[1])
+               for argv in (["--measure", str(path)], [])]
+    assert reports[0]["results"] == reports[1]["results"]
 
 
 def test_bad_measure_file_exit_code(tmp_path, capsys):
@@ -170,6 +206,13 @@ def test_bad_measure_file_exit_code(tmp_path, capsys):
     code = main(["carleson", "--measure", str(path)])
     assert code == EXIT_BAD_INPUT
     assert "line 1" in capsys.readouterr().err
+    # a key the atom class lacks is rejected, as in a spec
+    path.write_text(json.dumps({"atoms": [{"r": 0.5, "w": 1.0, "q": 2.0}]}))
+    assert main(["carleson", "--measure", str(path)]) == EXIT_BAD_INPUT
+    assert "unknown key 'q'" in capsys.readouterr().err
+    # a document that is not an object is bad input, not a crash
+    path.write_text("[1, 2]")
+    assert main(["carleson", "--measure", str(path)]) == EXIT_BAD_INPUT
 
 
 def test_bad_params_exit_code(capsys):

@@ -353,9 +353,16 @@ def test_line_poisson_integrable():
 
 
 def test_radial_json_round_trip():
-    mu = RadialMeasure(atoms=((0.3, 0.5),), pieces=(RadialPiece(0.1, 1.0, 2.0, 1.5, 1.0),))
-    again = RadialMeasure.from_dict(mu.to_dict())
-    assert again == mu
+    for mu in (RadialMeasure(atoms=((0.3, 0.5),), pieces=(RadialPiece(0.1, 1.0, 2.0, 1.5, 1.0),)),
+               lebesgue_disk()):
+        again = RadialMeasure.from_dict(mu.to_dict())
+        assert again == mu
+    # one key rule for atoms, pieces and the document: a key the class lacks is rejected
+    for doc, key in (({"atoms": [{"r": 0.5, "w": 1.0, "y": 3.0}]}, "y"),
+                     ({"pieces": [{"a": 0.0, "b": 1.0, "c": 1.0, "p": 0.0, "t": 1.0}]}, "t"),
+                     ({"atoms": [{"r": 0.5, "w": 1.0}], "peices": []}, "peices")):
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            RadialMeasure.from_dict(doc)
 
 
 def test_vertical_json_round_trip_with_inf():
@@ -363,8 +370,18 @@ def test_vertical_json_round_trip_with_inf():
     doc = pi.to_dict()
     assert doc["pieces"][0]["b"] == "inf"
     assert VerticalMeasure.from_dict(doc) == pi
+    with pytest.raises(ValueError, match="unknown key 'q'"):
+        VerticalMeasure.from_dict({"pieces": [{"a": 0.0, "b": "inf", "c": 1.0, "p": 0.0, "q": 1.0}]})
 
 
 def test_line_from_dict_signed_inf():
     nu = LineMeasure.from_dict({"pieces": [{"a": "-inf", "b": "inf", "c": 1.0, "p": 0.0}]})
     assert nu.pieces[0].a == -INF and nu.pieces[0].b == INF
+    for nu in (nu, LineMeasure(atoms=((-2.0, 0.5),), pieces=(LinePiece(-1.0, INF, 3.0, -0.5),))):
+        doc = nu.to_dict()
+        assert LineMeasure.from_dict(doc) == nu
+    assert doc == {"atoms": [{"t": -2.0, "w": 0.5}],
+                   "pieces": [{"a": -1.0, "b": "inf", "c": 3.0, "p": -0.5}]}
+    assert lebesgue_line().to_dict()["pieces"][0]["a"] == "-inf"
+    with pytest.raises(ValueError, match="unknown key 'r'"):
+        LineMeasure.from_dict({"atoms": [{"t": 0.0, "w": 1.0, "r": 0.5}]})
