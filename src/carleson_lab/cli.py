@@ -128,6 +128,11 @@ def _sumnorm(mu, args):
     return cert.to_dict(), EXIT_OK if cert.converged else EXIT_NO_CONVERGENCE
 
 
+def _wsigma(mu, args):
+    args.grid = max(args.grid, 4 * args.n_max)  # the grid the check runs at
+    return {"max_fourier_error": analyze_w_sigma_errors(mu, m=args.grid, n_max=args.n_max)}, EXIT_OK
+
+
 def _carleson(mu, args):
     ratio, ok = radial_carleson(mu)
     return {"sup_ratio": ratio, "is_carleson": ok,
@@ -167,9 +172,7 @@ COMMANDS = {
                      lambda mu, args: (fejer_experiment(mu, args.n_list), EXIT_OK),
                      flags=(("--n-list", {"type": int, "nargs": "+",
                                           "default": (2, 8, 32, 128, 512)}),)),
-    "wsigma": Command("boundary weight Fourier identity check", "radial", lambda mu, args: (
-        {"max_fourier_error": analyze_w_sigma_errors(mu, m=max(args.grid, 4 * args.n_max),
-                                                     n_max=args.n_max)}, EXIT_OK)),
+    "wsigma": Command("boundary weight Fourier identity check", "radial", _wsigma),
     "halfplane": Command("half-plane weight sup and explicit constants", "vertical", _halfplane,
                          flags=(("--trunc", {"type": float, "default": None}),)),
     "garnett": Command("Garnett criterion", "line", _garnett),
@@ -203,11 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> int:
-    params = {"seed": args.seed, "n_max": args.n_max, "grid": args.grid, "tol": args.tol,
-              "count": args.count, "measure": args.measure}
     if args.seed < 0 or args.n_max < 0 or args.grid < 1 or args.tol <= 0 or args.count < 1:
         raise InputError("seed/n_max/grid/count must be nonnegative and tol positive")
     results, exit_code = args.entry.run(resolve_measure(args.measure, args.entry.kind), args)
+    # read after the command ran: a command writes back a parameter it changed
+    params = {"seed": args.seed, "n_max": args.n_max, "grid": args.grid, "tol": args.tol,
+              "count": args.count, "measure": args.measure}
     if isinstance(results, dict):
         results = {k: encode_inf(v) for k, v in results.items()}
     emit({"command": args.command, "params": params, "results": results}, args)

@@ -13,7 +13,7 @@ B_delta(p+1, q+1) in delta itself.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import lru_cache
 from typing import Sequence
 
@@ -199,12 +199,19 @@ class _Measure:
     @classmethod
     def from_dict(cls, doc: dict):
         atoms, pieces = doc.get("atoms", []), doc.get("pieces", [])
-        piece_keys = tuple(f.name for f in fields(cls.PIECE))
-        for part, keys in [(doc, ("atoms", "pieces")), *((a, (cls.POSITION, "w")) for a in atoms),
-                           *((p, piece_keys) for p in pieces)]:
+        piece_fields = fields(cls.PIECE)
+        piece_keys = tuple(f.name for f in piece_fields)
+        needed = tuple(f.name for f in piece_fields if f.default is MISSING)
+        atom_keys = (cls.POSITION, "w")
+        for part, keys, required in [(doc, ("atoms", "pieces"), ()),
+                                     *((a, atom_keys, atom_keys) for a in atoms),
+                                     *((p, piece_keys, needed) for p in pieces)]:
             unknown = sorted(set(part) - set(keys))
             if unknown:
                 raise ValueError(f"unknown key {unknown[0]!r}; allowed: {', '.join(keys)}")
+            missing = [k for k in required if k not in part]
+            if missing:
+                raise ValueError(f"missing key {missing[0]!r}; required: {', '.join(required)}")
         return cls(tuple((float(a[cls.POSITION]), float(a["w"])) for a in atoms),
                    tuple(cls.PIECE(**{k: float(v) for k, v in p.items()}) for p in pieces))
 

@@ -36,7 +36,11 @@ def l1_norm(g: GridFunction) -> float:
 def hmu_norm(u: CoeffVector, mu: RadialMeasure) -> float:
     """sqrt(2*pi*sum |c_n|^2 sigma_|n|); also the weighted harmonic Bergman
     norm of the harmonic extension under a radial weight."""
-    sig = moment_array(mu, u.n_max)
+    return hmu_norm_of_moments(u, moment_array(mu, u.n_max))
+
+
+def hmu_norm_of_moments(u: CoeffVector, sig: np.ndarray) -> float:
+    """hmu_norm(u, mu) from sig = moment_array(mu, u.n_max)."""
     with np.errstate(under="ignore"):
         return float(math.sqrt(2.0 * math.pi * np.sum(np.abs(u.coeffs) ** 2 * sig[np.abs(u.ns)])))
 

@@ -18,6 +18,20 @@ which meets the dual weighted-norm constraint exactly; without it the
 lower bound lags far behind the upper when d is ill-conditioned.  The
 better of the two under the weak-duality formula certifies the lower
 bound, so every result is a certified interval.
+
+Ill-conditioned weights d still leave the lower bound lagging: residual
+balancing settles on a rho that serves the primal iterate, while a rho
+8-64 times smaller moves the dual one several times faster (and, used
+alone, slows the primal 7-25 times on other problems).  So the iterates
+are the rows of (rows, M) arrays run in lockstep, sharing every FFT and
+the z-step, with one secular-equation solve per row.  Row 0 is the
+balanced iteration above.  A solve still open after _JOIN_AFTER
+iterations gains one row per entry s of _JOIN_SCALES: a copy of row 0 at
+rho/s, with y times s and lam over s as balancing rescales them, whose
+rho then stays fixed.  Each check takes the best bound of any row.  Row 0
+runs exactly the arithmetic it would run alone, so the interval after N
+iterations is never wider than row 0 alone would give, and a solve that
+ends within _JOIN_AFTER iterations never has more than one row.
 """
 
 from __future__ import annotations
@@ -30,12 +44,14 @@ import scipy.fft
 
 from .fourier import CoeffVector, GridFunction, analyze, synthesize
 from .measures import RadialMeasure, moment_array
-from .norms import hmu_norm
+from .norms import hmu_norm_of_moments
 
 DEFAULT_TOL = 1e-5
 DEFAULT_MAX_ITERS = 200_000
 _RELAX = 1.6  # ADMM over-relaxation factor
 _CHECK_EVERY = 25  # iterations between certificate checks
+_JOIN_AFTER = 1000  # iterations before the small-penalty rows join
+_JOIN_SCALES = (8.0, 64.0)  # they run at rho/8 and rho/64 of row 0 then (powers of 2)
 
 
 @dataclass(frozen=True)
@@ -150,17 +166,22 @@ def sum_norm(
     d2 = d * d
     idx = ns % m  # coefficient slots inside the length-m spectrum
 
-    spread = np.zeros(m, dtype=complex)  # slots outside idx stay zero
+    # one length-m spectrum per row; slots outside idx stay zero, and
+    # slots[k] holds row k's coefficient slots in the flattened spectra
+    spread = np.zeros((1 + len(_JOIN_SCALES), m), dtype=complex)
+    flat = spread.reshape(-1)
+    slots = idx + m * np.arange(len(spread))[:, None]
 
-    def synth(fc):
-        spread[idx] = fc
-        return scipy.fft.ifft(spread, norm="forward")
+    def synth(fc):  # row k of coefficients to row k of grid values
+        rows = len(fc)
+        flat[slots[:rows]] = fc
+        return scipy.fft.ifft(spread[:rows], norm="forward")
 
-    def coeffs(y):  # S*y / m, the inverse of synth on its range
-        return scipy.fft.fft(y, norm="forward")[idx]
+    def coeffs(y):  # S*y / m row by row, the inverse of synth on its range
+        return scipy.fft.fft(y, norm="forward").take(idx, axis=-1)
 
     # single-term decompositions seed the upper bound
-    best_upper = hmu_norm(u, mu)
+    best_upper = hmu_norm_of_moments(u, sig)
     best_f = u.coeffs.copy()
     single_l1 = float(np.mean(np.abs(u_grid)))
     if single_l1 < best_upper:
@@ -172,12 +193,20 @@ def sum_norm(
     it = 0
 
     inv_d2 = np.divide(1.0, d2, out=np.zeros_like(d2), where=d2 > 0.0)
-    rho = 1.0 / m
-    lam = 1.0  # root of the f-step's secular equation, warm-started
-    e = u_grid.copy()  # u minus the L^1 part z
-    y = np.zeros(m, dtype=complex)  # scaled dual of S f + z = u
+    # one ADMM iteration per row, all rows in lockstep; row 0 balances its
+    # penalty, the rows that join later keep theirs.  ug and mrho hold u and
+    # m*rho once per row, which keeps numpy off its slower broadcasting path.
+    rho = [1.0 / m]
+    lam = [1.0]  # root of each row's f-step secular equation, warm-started
+    ug = u_grid[None, :]
+    mrho = np.full((1, m), m * rho[0])
+    e = ug.copy()  # u minus the L^1 part z
+    y = np.zeros((1, m), dtype=complex)  # scaled dual of S f + z = u
+    f = np.empty((1, 2 * n_max + 1), dtype=complex)
     for it in range(1, max_iters + 1):
-        f, lam = _prox_weighted_l2(coeffs(e - y), d2, inv_d2, 1.0 / (m * rho), lam)
+        v = coeffs(e - y)
+        for k, vk in enumerate(v):
+            f[k], lam[k] = _prox_weighted_l2(vk, d2, inv_d2, 1.0 / (m * rho[k]), lam[k])
         sf = synth(f)
         # over-relaxed z-step: y becomes the projection of
         # q = RELAX*(sf - e) + y + e - u onto |.| <= 1/(m*rho), and z = y - q.
@@ -186,55 +215,70 @@ def sum_norm(
         q *= _RELAX
         q += y
         q += e
-        q -= u_grid
+        q -= ug
         den = np.abs(q)
-        den *= m * rho
+        den *= mrho
         y = q / np.maximum(den, 1.0, out=den)
-        e_old, e = e, u_grid + q
+        e_old, e = e, ug + q
         e -= y
 
         if it % _CHECK_EVERY == 0 or it == max_iters:
-            nf = float(np.linalg.norm(d * f))
-            upper = nf + float(np.mean(np.abs(u_grid - sf)))
-            if upper < best_upper:
-                best_upper = upper
-                best_f = f.copy()
-            psi = (m * rho) * y
+            nf = [float(np.linalg.norm(d * fk)) for fk in f]
+            psi = mrho * y
             psi_hat = coeffs(psi)
-            cands = [(psi, psi_hat)]
-            if nf > 0.0:
-                # psi with its coefficients swapped for the subgradient of
-                # ||D f|| at f: meets the dual weighted-norm constraint exactly
-                cand = psi + synth(-d2 * f / nf - psi_hat)
-                cands.append((cand, coeffs(cand)))
-            for cand, hat in cands:
-                with np.errstate(divide="ignore", invalid="ignore"):  # sigma_n = 0
-                    dh = float(np.linalg.norm(hat / d))
-                if math.isnan(dh):  # a 0/0 term; max() below would drop the nan
-                    dh = math.inf
-                scale = max(float(np.max(np.abs(cand))), dh, 1e-300)
-                lower = float(abs(np.vdot(cand, u_grid)) / (m * scale))
-                if lower > best_lower:
-                    best_lower = lower
-                    best_psi = cand / scale
+            # psi with its coefficients swapped for the subgradient of
+            # ||D f|| at f: meets the dual weighted-norm constraint exactly
+            # (a row with f = 0 divides 0 by 1 and offers no such candidate)
+            sub = -d2 * f / np.array([x or 1.0 for x in nf])[:, None]
+            swapped = psi + synth(sub - psi_hat)
+            swapped_hat = coeffs(swapped)
+            for k in range(len(rho)):
+                upper = nf[k] + float(np.mean(np.abs(u_grid - sf[k])))
+                if upper < best_upper:
+                    best_upper = upper
+                    best_f = f[k].copy()
+                cands = [(psi[k], psi_hat[k])]
+                if nf[k] > 0.0:
+                    cands.append((swapped[k], swapped_hat[k]))
+                with np.errstate(divide="ignore", invalid="ignore"):  # hat / d at sigma_n = 0
+                    for cand, hat in cands:
+                        dh = float(np.linalg.norm(hat / d))
+                        if math.isnan(dh):  # a 0/0 term; max() below would drop the nan
+                            dh = math.inf
+                        scale = max(float(np.max(np.abs(cand))), dh, 1e-300)
+                        lower = float(abs(np.vdot(cand, u_grid)) / (m * scale))
+                        if lower > best_lower:
+                            best_lower = lower
+                            best_psi = cand / scale
             if best_upper - best_lower <= tol * max(best_upper, 1e-300):
                 converged = True
                 break
-            # balance the primal residual S f + z - u against the dual one
+            # balance row 0's primal residual S f + z - u against its dual one
             # rho S*(z - z_old), bounded via ||S* x|| <= sqrt(m) ||x|| (Boyd et
             # al., sec. 3.4.1); lam scales with rho, the scaled dual against it
-            r_pri = float(np.linalg.norm(sf - e))
-            r_dual = rho * math.sqrt(m) * float(np.linalg.norm(e - e_old))
-            if r_pri > 10.0 * r_dual:
-                rho, lam, y = 2.0 * rho, 2.0 * lam, 0.5 * y
-            elif r_dual > 10.0 * r_pri:
-                rho, lam, y = 0.5 * rho, 0.5 * lam, 2.0 * y
+            r_pri = float(np.linalg.norm(sf[0] - e[0]))
+            r_dual = rho[0] * math.sqrt(m) * float(np.linalg.norm(e[0] - e_old[0]))
+            step = 2.0 if r_pri > 10.0 * r_dual else 0.5 if r_dual > 10.0 * r_pri else 1.0
+            if step != 1.0:
+                rho[0], lam[0] = step * rho[0], step * lam[0]
+                y[0] /= step
+                mrho[0] = m * rho[0]
+            if it == _JOIN_AFTER:
+                # the small-penalty rows start from row 0's state, rescaled
+                # as the balancing above rescales it (exactly, by powers of 2)
+                rho += [rho[0] / s for s in _JOIN_SCALES]
+                lam += [lam[0] / s for s in _JOIN_SCALES]
+                mrho = np.concatenate([mrho] + [mrho / s for s in _JOIN_SCALES])
+                y = np.concatenate([y] + [s * y for s in _JOIN_SCALES])
+                e = np.repeat(e, len(rho), axis=0)
+                ug = np.repeat(ug, len(rho), axis=0)
+                f = np.empty((len(rho), 2 * n_max + 1), dtype=complex)
 
     # at an exact optimum the two bounds can cross by rounding; a lower
     # bound below the certified one stays valid
     best_lower = min(best_lower, best_upper)
     fv = CoeffVector(n_max, best_f)
-    sf = synth(best_f)
+    sf = synth(best_f[None])[0]
     g = GridFunction(u_grid - sf)
     residual = float(np.max(np.abs(sf + g.samples - u_grid)))
     witness = Decomposition(fv, g, residual)

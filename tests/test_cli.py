@@ -68,6 +68,18 @@ def test_spec_honours_every_piece_field_and_rejects_unknown_keys(capsys):
         assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
+def test_spec_or_file_without_a_required_key_names_it(tmp_path, capsys):
+    path = tmp_path / "no_p.json"
+    path.write_text(json.dumps({"pieces": [{"a": 0.0, "b": 1.0, "c": 1.0}]}))
+    for argv, key in ((["carleson", "--measure", "atom:w=2"], "r"),
+                      (["carleson", "--measure", "power:c=2"], "p"),
+                      (["halfplane", "--measure", "atom:w=2"], "y"),
+                      (["garnett", "--measure", "atom:w=2"], "t"),
+                      (["moments", "--measure", str(path)], "p")):
+        assert main(argv) == EXIT_BAD_INPUT
+        assert f"missing key '{key}'" in capsys.readouterr().err
+
+
 def test_schema_command_enum_matches_parser():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert "adapted" in sub.choices
@@ -157,6 +169,16 @@ def test_wsigma_command(tmp_path):
     assert code == EXIT_OK
     doc = json.loads(text)
     assert doc["results"]["max_fourier_error"] < 1e-8
+
+
+def test_wsigma_reports_the_grid_it_ran_at(tmp_path):
+    # the check runs at grid max(grid, 4*n_max); params say so
+    code, text = run_cli(tmp_path, "wsigma", "--grid", "64", "--n-max", "64")
+    assert code == EXIT_OK
+    doc = json.loads(text)
+    assert doc["params"]["grid"] == 256
+    code, text = run_cli(tmp_path, "wsigma", "--grid", "4096", "--n-max", "64")
+    assert json.loads(text)["params"]["grid"] == 4096
 
 
 def test_halfplane_command(tmp_path):

@@ -28,6 +28,7 @@ CASES = {
     "carleson-atom": ["carleson", "--measure", "atom:r=0.75"],
     "carleson-power": ["carleson", "--measure", "power:p=-0.5"],
     "sumnorm": ["sumnorm", "--n-max", "16", "--grid", "64"],
+    "sumnorm-atom": ["sumnorm", "--measure", "atom:r=0.9"],
     "bbb": ["bbb", *CORPUS],
     "adapted": ["adapted", "--measure", "power:p=1", *CORPUS],
     "embedding": ["embedding", *CORPUS],

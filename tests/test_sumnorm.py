@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from carleson_lab import sumnorm
 from carleson_lab.fourier import CoeffVector, GridFunction, adapted_pair, multiplier, synthesize
 from carleson_lab.harness import random_poly
-from carleson_lab.measures import RadialMeasure, moment_array, power_disk
-from carleson_lab.norms import hmu_norm, l2_norm
+from carleson_lab.measures import RadialMeasure, atom_disk, moment_array, power_disk
+from carleson_lab.norms import hmu_norm, l1_norm, l2_norm
 from carleson_lab.sumnorm import dual_bound, dual_hmu, sum_norm
 
 from conftest import random_coeff_vector, rng_for
@@ -141,6 +142,44 @@ def test_scipy_oracle_brackets_certificate(lebesgue):
         cert = sum_norm(u, lebesgue, m=m, tol=5e-5)
         ref = slsqp_dual_oracle(u, lebesgue, m)
         assert cert.lower - 1e-6 <= ref <= cert.upper + 1e-6
+
+
+def recheck(u, mu, tol, cert):
+    """The certificate recomputed from outside the solver: the witness's
+    hmu_norm(f) + l1_norm(g) is the upper bound, dual_bound of the dual
+    witness the lower one, and the gap is within tol."""
+    assert cert.converged
+    assert cert.gap <= tol * cert.upper
+    upper = hmu_norm(cert.witness.f, mu) + l1_norm(cert.witness.g)
+    lower = dual_bound(u, cert.dual_witness, mu)
+    assert cert.upper == pytest.approx(upper, rel=1e-9)
+    assert cert.lower == pytest.approx(lower, rel=1e-9)
+    assert lower <= upper * (1.0 + 1e-12)
+    assert cert.witness.residual < 1e-10
+
+
+def test_atom_09_cli_shape_converges():
+    # atom r = 0.9 at the CLI defaults: the balanced row alone stops short of
+    # tol at 40 000 iterations here; with the small-penalty rows a few
+    # thousand certify it
+    mu = atom_disk(0.9)
+    for seed in (1, 2, 3):
+        u = random_poly(seed, 3000, 128)
+        cert = sum_norm(u, mu, m=512, tol=1e-5, max_iters=40_000)
+        assert sumnorm._JOIN_AFTER < cert.iterations <= 40_000
+        recheck(u, mu, 1e-5, cert)
+
+
+def test_scipy_oracle_brackets_multi_row_certificate():
+    # (1 dr on [0, 1/2)): sigma_n falls like 4^-n, so at tol 1e-8 the solve
+    # runs past the point where the small-penalty rows join
+    mu = RadialMeasure(pieces=((0.0, 0.5, 1.0, 0.0, 0.0),))
+    u = random_poly(0, 7, 8)
+    cert = sum_norm(u, mu, m=32, tol=1e-8)
+    assert cert.iterations > sumnorm._JOIN_AFTER
+    recheck(u, mu, 1e-8, cert)
+    ref = slsqp_dual_oracle(u, mu, 32)
+    assert cert.lower - 1e-6 <= ref <= cert.upper + 1e-9
 
 
 def test_certificate_ordered_at_exact_optimum(lebesgue):
