@@ -372,8 +372,9 @@ def log_moment_array(mu: RadialMeasure, n_max: int) -> np.ndarray:
         else:
             col = math.log(pc.c) + _log_segment(m, pc.p, pc.a, pc.b)
         logs.append(col)
-    stacked = np.vstack(logs)
-    return logsumexp(stacked, axis=0)
+    if len(logs) == 1:  # logsumexp of one term returns it; skip its cost
+        return logs[0]
+    return logsumexp(np.vstack(logs), axis=0)
 
 
 # ---------------------------------------------------------------------------

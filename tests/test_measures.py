@@ -7,6 +7,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from carleson_lab.measures import (
     DELTA_GRID,
@@ -113,6 +114,24 @@ def test_log_moments_beyond_float_floor():
     ls = log_moment_array(mu, 800)
     assert np.all(np.isfinite(ls))
     assert ls[600] == pytest.approx(1200.0 * math.log(0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("mu", [
+    RadialMeasure(atoms=((0.0, 1.0),)),  # its column is -inf past n = 0
+    atom_disk(0.5),
+    atom_disk(0.9),
+    RadialMeasure(atoms=((0.999, 2.0),)),
+    lebesgue_disk(),
+    power_disk(1.0),
+    RadialMeasure(pieces=(RadialPiece(0.0, 0.999, 1.0, -0.5, 0.0),)),
+    RadialMeasure(pieces=(RadialPiece(0.0, 0.5, 1.0, 0.0, 0.0),)),
+    RadialMeasure(pieces=(RadialPiece(0.2, 0.6, 3.0, 0.5, 2.0),)),
+])
+def test_single_term_log_moments_skip_logsumexp(mu):
+    # one atom or piece: its column is returned as logsumexp over it would
+    for n_max in (0, 1, 8, 64, 600, 4000):
+        ls = log_moment_array(mu, n_max)
+        assert np.array_equal(ls, logsumexp(ls[None], axis=0))
 
 
 def test_log_moments_truncated_piece_fallback():

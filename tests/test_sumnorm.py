@@ -201,6 +201,51 @@ def test_certificate_ordered_at_exact_optimum(lebesgue):
         assert dual_bound(u, cert.dual_witness, mu) == pytest.approx(cert.lower, rel=1e-9)
 
 
+def test_l1_seed_certifies_at_iteration_0(lebesgue):
+    # sign(u) certifies f = 0: both adapted-pair vectors of (1-r)^{-1/2} dr on
+    # [0, 0.999) at the corpus settings, and tiny Lebesgue shapes
+    mu = RadialMeasure(pieces=((0.0, 0.999, 1.0, -0.5, 0.0),))
+    pair = adapted_pair(mu, 64)
+    cases = []
+    for s in (0, 1, 2):
+        u = random_poly(s, 0, 64)
+        v = multiplier(CoeffVector(64, u.coeffs / l2_norm(u)), pair.a)
+        cases += [(v, mu, 512, 1e-3), (multiplier(v, pair.b), mu, 512, 1e-3)]
+    for i in range(6):
+        rng = rng_for(100 + i)
+        n_max = int(rng.integers(1, 3))
+        m = int(rng.integers(2 * n_max + 1, 17))
+        cases.append((random_coeff_vector(rng, n_max), lebesgue, m, 5e-5))
+    for u, mu, m, tol in cases:
+        cert = sum_norm(u, mu, m=m, tol=tol)
+        assert cert.iterations == 0
+        assert not np.any(cert.witness.f.coeffs)
+        recheck(u, mu, tol, cert)
+
+
+def test_weighted_seed_certifies_at_iteration_0():
+    # D^2 u/||D u|| certifies f = u on the power_disk(1.0) vectors of
+    # test_certificate_ordered_at_exact_optimum
+    mu = power_disk(1.0)
+    pair = adapted_pair(mu, 64)
+    for i in (4, 5):
+        u = random_poly(7, i, 64)
+        v = multiplier(CoeffVector(64, u.coeffs / l2_norm(u)), pair.a)
+        for x in (v, multiplier(v, pair.b)):
+            cert = sum_norm(x, mu, m=512, tol=1e-3)
+            assert cert.iterations == 0
+            assert np.array_equal(cert.witness.f.coeffs, x.coeffs)
+            recheck(x, mu, 1e-3, cert)
+
+
+def test_uncertified_seed_still_iterates(lebesgue):
+    # neither seed is optimal here, so the loop runs and certifies the gap
+    u = random_coeff_vector(rng_for(21), 6)
+    cert = sum_norm(u, lebesgue, m=32, tol=1e-4)
+    assert cert.iterations > 0
+    recheck(u, lebesgue, 1e-4, cert)
+
+
 def test_truncated_singular_weight_converges_fast():
     # both adapted-pair vectors of one (1-r)^{-1/2} dr on [0, 0.9) sample at the
     # criterion-5 settings; ADMM needs a few hundred iterations here
