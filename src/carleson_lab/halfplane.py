@@ -8,7 +8,8 @@ Garnett's criterion are closed form: a power-law piece reduces, after
 scaling, to G_p(A, B) = int_A^B t^p/(1+t^2) dt (hypergeometric, `_kernel`),
 evaluated over the whole x or y grid in one array call.  No adaptive
 quadrature runs here; the truncated Fourier identity integrates the
-closed-form V by composite Simpson.
+closed-form V by composite Simpson, a fixed weight vector on its uniform
+grid.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 from scipy.special import hyp2f1, sici
 
 from .measures import (
@@ -228,9 +228,10 @@ def w_pi_truncated_fourier_check(
     weight and its closed spectral form sgn(xi) * int_eps^R e^{-2 y |xi|} Pi(dy).
 
     The real odd part V (W = i V) is evaluated in closed form on n_x + 1
-    points of [0, _X_MAX] and integrated against sin(2 pi x xi) for all
-    xi_test at once by composite Simpson, with the analytic 1/x tail
-    appended via the sine integral.
+    points of [0, _X_MAX] (n_x raised to even) and integrated against
+    sin(2 pi x xi) for all xi_test at once by composite Simpson, one
+    matrix-vector product with the weights h/3*[1, 4, 2, ..., 4, 1], with
+    the analytic 1/x tail appended via the sine integral.
     """
     if not 0.0 < eps < big_r:
         raise ValueError("need 0 < eps < R")
@@ -240,11 +241,14 @@ def w_pi_truncated_fourier_check(
     if n_x % 2 == 1:
         n_x += 1
     xs = np.linspace(0.0, _X_MAX, n_x + 1)
+    simpson = np.full(n_x + 1, 2.0)  # composite Simpson weights h/3*[1, 4, 2, ..., 4, 1]
+    simpson[1::2] = 4.0
+    simpson[[0, -1]] = 1.0
+    simpson *= _X_MAX / (3.0 * n_x)
     trunc = pi.truncate(big_r, eps)
     v = _conj_poisson(trunc, xs)
     abs_xi = np.abs(xi_test)
-    integrand = v * np.sin(2.0 * math.pi * xs * abs_xi[:, None])
-    main = 2.0 * integrate.simpson(integrand, x=xs, axis=-1)
+    main = 2.0 * (np.sin(2.0 * math.pi * xs * abs_xi[:, None]) @ (v * simpson))
     si, _ = sici(2.0 * math.pi * abs_xi * _X_MAX)
     tail = (2.0 * trunc.cumulative(big_r) / math.pi) * (math.pi / 2.0 - si)
     # numeric and exact share the factor sgn(xi), which the relative error drops

@@ -7,7 +7,12 @@ forms (incomplete beta / gamma).  Where scipy's regularized incomplete
 beta underflows, a log-domain continued fraction (DLMF 8.17.22) takes
 over, so moments and tail masses far below the double-precision floor keep
 their relative accuracy.  A tail of a piece reaching r = 1 is taken as
-B_delta(p+1, q+1) in delta itself.
+B_delta(p+1, q+1) in delta itself.  A Laplace transform of a piece with
+p <= -1 is a difference of upper incomplete gammas of negative order,
+lifted to positive order by the recurrence of DLMF 8.8.2.  The singular
+integral is closed form for atoms and a fixed composite Gauss(-Jacobi)
+rule for pieces; that rule's panel layout is shared with
+norms.poisson_sup.  No adaptive quadrature runs anywhere in the package.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.special import betainc, betaln, gammainc, gammaln, logsumexp
+from scipy.special import (betainc, betaln, exp1, gamma, gammainc, gammaincc, gammaln,
+                           logsumexp, roots_jacobi)
 
 INF = float("inf")
 
@@ -338,6 +343,47 @@ def _line_piece_mass(pc: LinePiece, lo: float, hi: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# fixed composite rules (singular_integral here, poisson_sup in norms)
+
+_PANEL_ORDER = 16  # Gauss nodes per panel
+_MAX_GRADING = 40  # most geometric panels toward an end of a piece
+_PANEL_RATE = 8.0  # most growth (log-derivative times width) of a singular_integral panel
+
+
+@lru_cache(maxsize=64)
+def _jacobi_rule(beta: float):
+    """_PANEL_ORDER-point Gauss-Jacobi nodes on [-1, 1] for the weight
+    (1+x)^beta, with the weights divided by it, so that sum(w*f(x))
+    integrates f itself and is exact where f/(1+x)^beta is a polynomial."""
+    x, w = roots_jacobi(_PANEL_ORDER, 0.0, beta)
+    return x, w / (1.0 + x) ** beta
+
+
+def _grading_depth(dist, width) -> int:
+    """Panels of ratio 1/4 that a panel end needs before a singularity at
+    distance dist beyond it lies a third of the last panel's width away."""
+    with np.errstate(divide="ignore"):
+        need = np.log(width / (3.0 * np.maximum(dist, 0.0))) / math.log(4.0)
+    return int(np.clip(np.ceil(np.max(need)), 0, _MAX_GRADING))
+
+
+def _panel_segments(panels: int, ends) -> list:
+    """The segments (from_a, t0, t1, rule) of a composite rule on a piece
+    [a, b] cut into `panels` panels of width h: the segment covers offsets
+    [t0*h, t1*h] from a (from_a) or from b, so that distances to either end
+    never cancel.  Inner panels get plain Gauss; for each (from_a, depth,
+    exponent) in ends, the end panel is cut geometrically by ratio 1/4
+    depth times and its last piece gets Gauss-Jacobi with weight
+    offset^exponent (_jacobi_rule)."""
+    gauss = _jacobi_rule(0.0)
+    segs = [(True, k, k + 1, gauss) for k in range(1, panels - 1)]
+    for from_a, depth, exponent in ends:
+        segs += [(from_a, 4.0 ** -(j + 1), 4.0 ** -j, gauss) for j in range(depth)]
+        segs.append((from_a, 0.0, 4.0 ** -depth, _jacobi_rule(exponent)))
+    return segs
+
+
+# ---------------------------------------------------------------------------
 # moments
 
 
@@ -411,26 +457,46 @@ def boundary_accessible(mu: RadialMeasure) -> bool:
 
 
 def singular_integral(mu: RadialMeasure) -> float:
-    """2*pi * int sigma(dr)/(1-r^2); +inf when a boundary piece has p <= 0."""
+    """2*pi * int sigma(dr)/(1-r^2); +inf when a boundary piece has p <= 0.
+
+    Atoms in closed form, each piece by a fixed composite 16-point
+    Gauss(-Jacobi) rule in r (_singular_piece); no adaptive quadrature."""
     for pc in mu.pieces:
         if pc.b >= 1.0 and pc.p <= 0.0:
             return INF
     total = sum(w / (1.0 - r * r) for r, w in mu.atoms)
-    for pc in mu.pieces:
-        # substitute u = 1-r: c * u^{p-1} (1-u)^q / (2-u) on [1-b, 1-a]
-        lo, hi = 1.0 - pc.b, 1.0 - pc.a
-
-        def f(u, _q=pc.q, _c=pc.c):
-            return _c * (1.0 - u) ** _q / (2.0 - u)
-
-        if lo == 0.0 and pc.p < 1.0:
-            val, _ = integrate.quad(f, lo, hi, weight="alg", wvar=(pc.p - 1.0, 0.0),
-                                    epsabs=1e-12, epsrel=1e-12, limit=200)
-        else:
-            val, _ = integrate.quad(lambda u: f(u) * u ** (pc.p - 1.0), max(lo, 1e-300), hi,
-                                    epsabs=1e-12, epsrel=1e-12, limit=200)
-        total += val
+    total += sum(_singular_piece(pc) for pc in mu.pieces)
     return 2.0 * math.pi * total
+
+
+def _singular_piece(pc: RadialPiece) -> float:
+    """int_a^b c*(1-r)^(p-1)*r^q/(1+r) dr, the piece's share of the singular
+    integral, by a fixed composite Gauss(-Jacobi) rule.
+
+    The branch points r = 1 and r = 0 of the density are handled as in
+    norms.poisson_sup: where the piece reaches one (b = 1, a = 0) its end
+    panel is Gauss-Jacobi with weight (1-r)^(p-1) or r^q; where one lies
+    just beyond an end, the end panel is graded geometrically toward it.
+    The panels are narrow enough that (|p-1| + q) times their width stays
+    within _PANEL_RATE.  r - a and 1 - r come from offsets from the two
+    ends, exact at either."""
+    length = pc.b - pc.a
+    panels = max(2, math.ceil(length * (abs(pc.p - 1.0) + pc.q) / _PANEL_RATE))
+    h = length / panels
+    smooth_p = pc.p == int(pc.p) and pc.p >= 1.0
+    smooth_q = pc.q == int(pc.q)
+    depth_a = 0 if pc.a <= 0.0 or smooth_q else _grading_depth(pc.a, h)
+    depth_b = 0 if pc.b >= 1.0 or smooth_p else _grading_depth(1.0 - pc.b, h)
+    total = 0.0
+    for from_a, t0, t1, (x, w) in _panel_segments(
+            panels, ((True, depth_a, pc.q if pc.a <= 0.0 else 0.0),
+                     (False, depth_b, pc.p - 1.0 if pc.b >= 1.0 else 0.0))):
+        off = (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * x) * h
+        above_a, below_b = (off, length - off) if from_a else (length - off, off)
+        r = pc.a + above_a
+        dens = (1.0 - pc.b + below_b) ** (pc.p - 1.0) * r**pc.q / (1.0 + r)
+        total += 0.5 * (t1 - t0) * h * float(dens @ w)
+    return pc.c * total
 
 
 def vertical_carleson(pi: VerticalMeasure):
@@ -460,7 +526,11 @@ _KERNEL_RATE = {FOUR_PI: 4.0 * math.pi, TWO: 2.0}
 def laplace_transform(pi: VerticalMeasure, xi, convention: str = FOUR_PI):
     """int exp(-k*y*|xi|) Pi(dy) with k = 4*pi (four_pi) or 2 (two); 0 at xi=0.
 
-    Accepts a scalar or an array of frequencies.
+    Accepts a scalar or an array of frequencies, all evaluated in one array
+    call per piece.  With s = k*|xi| an atom w at y gives w*exp(-s*y), and a
+    piece c*y^p dy on [a, b) gives c*s^-(p+1) times the incomplete gamma
+    difference over [s*a, s*b]: the lower one (gammainc) for p > -1, the
+    upper one (_upper_gamma, DLMF 8.8.2) for p <= -1, where a > 0.
     """
     rate = _KERNEL_RATE[convention]
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -473,22 +543,34 @@ def laplace_transform(pi: VerticalMeasure, xi, convention: str = FOUR_PI):
         for y, w in pi.atoms:
             acc += w * np.exp(-sv * y)
         for pc in pi.pieces:
-            if pc.p > -1.0:
-                e = pc.p + 1.0
+            e = pc.p + 1.0
+            if e > 0.0:
                 hi = gammainc(e, sv * pc.b) if not math.isinf(pc.b) else 1.0
                 lo = gammainc(e, sv * pc.a)
                 acc += pc.c * np.exp(gammaln(e) - e * np.log(sv)) * (hi - lo)
             else:
-                for i, sval in enumerate(sv):
-                    top = pc.b if not math.isinf(pc.b) else pc.a + 80.0 / sval
-                    val, _ = integrate.quad(
-                        lambda y: pc.c * y**pc.p * math.exp(-sval * y), pc.a, top,
-                        epsabs=1e-13, epsrel=1e-12, limit=200)
-                    acc[i] += val
+                diff = _upper_gamma(e, sv * pc.a) - _upper_gamma(e, sv * pc.b)
+                acc += pc.c * sv**-e * diff
     out[nz] = acc
     if np.isscalar(xi) or np.asarray(xi).ndim == 0:
         return float(out[0])
     return out
+
+
+def _upper_gamma(e: float, x: np.ndarray) -> np.ndarray:
+    """Gamma(e, x) = int_x^inf t^(e-1) exp(-t) dt for e <= 0 and x > 0
+    (x = inf gives 0), elementwise; laplace_transform's p <= -1 pieces.
+
+    Starts at the order e + n, n = ceil(-e): Gamma(0, x) = E_1(x) (exp1) for
+    integer e, else gammaincc * gamma at an order in (0, 1); then lowers
+    the order n times by DLMF 8.8.2, Gamma(a, x) = (Gamma(a+1, x) -
+    x^a exp(-x)) / a."""
+    n = math.ceil(-e)
+    top = e + n
+    g = exp1(x) if top == 0.0 else gammaincc(top, x) * gamma(top)
+    for a in e + np.arange(n - 1, -1, -1):
+        g = (g - x**a * np.exp(-x)) / a
+    return g
 
 
 # ---------------------------------------------------------------------------

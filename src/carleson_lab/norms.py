@@ -5,9 +5,10 @@ functional.
 
 w_sigma integrates each piece by composite Gauss-Legendre on panels graded
 toward r = 1; poisson_sup evaluates its whole theta grid by closed forms
-(atoms, constant-density pieces) and a fixed composite Gauss rule in a
-variable that flattens the Poisson kernel (other pieces).  No adaptive
-quadrature runs here.
+(atoms, constant-density pieces) and a fixed composite Gauss(-Jacobi) rule
+in a variable that flattens the Poisson kernel (other pieces), on the panel
+layout it shares with measures.singular_integral (whose square root is the
+Cauchy-kernel bound).  No adaptive quadrature runs here.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import warnings
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .fourier import CoeffVector, GridFunction, analyze
-from .measures import INF, RadialMeasure, moment_array, radial_carleson, singular_integral
+from .measures import (INF, RadialMeasure, _grading_depth, _panel_segments, moment_array,
+                       radial_carleson, singular_integral)
 
 
 def l2_norm(u: CoeffVector) -> float:
@@ -155,25 +156,6 @@ def default_theta_grid(k: int = 2048) -> np.ndarray:
 
 
 _PANEL_WIDTH = 2.0  # largest panel width in v of poisson_sup's composite rule
-_PANEL_ORDER = 16  # Gauss nodes per panel
-_MAX_GRADING = 40  # most geometric panels toward an end of a poisson_sup piece
-
-
-def _grading_depth(dist: np.ndarray, width: np.ndarray) -> int:
-    """Panels of ratio 1/4 that a panel end needs before a singularity at
-    distance dist beyond it lies a third of the last panel's width away."""
-    with np.errstate(divide="ignore"):
-        need = np.log(width / (3.0 * np.maximum(dist, 0.0))) / math.log(4.0)
-    return int(np.clip(np.ceil(np.max(need)), 0, _MAX_GRADING))
-
-
-@lru_cache(maxsize=64)
-def _jacobi_rule(beta: float):
-    """_PANEL_ORDER-point Gauss-Jacobi nodes on [-1, 1] for the weight
-    (1+x)^beta, with the weights divided by it, so that sum(w*f(x))
-    integrates f itself and is exact where f/(1+x)^beta is a polynomial."""
-    x, w = roots_jacobi(_PANEL_ORDER, 0.0, beta)
-    return x, w / (1.0 + x) ** beta
 
 
 def _poisson_piece(pc, s: np.ndarray, half_cos: np.ndarray) -> np.ndarray:
@@ -203,16 +185,10 @@ def _poisson_piece(pc, s: np.ndarray, half_cos: np.ndarray) -> np.ndarray:
         _grading_depth(np.arcsinh(half_cos / s) - vb, h)
     depth_a = 0 if pc.a <= 0.0 or smooth_q else \
         _grading_depth(va - np.arcsinh((half_cos - 1.0) / s), h)
-    gauss = _jacobi_rule(0.0)
-    # (from_a, t0, t1, rule): the segment [t0*h, t1*h] of offsets from v_a
-    # (from_a) or from v_b, so that v - v_a and v_b - v never cancel
-    segs = [(True, k, k + 1, gauss) for k in range(1, panels - 1)]
-    for from_a, depth, exponent in ((True, depth_a, pc.q if pc.a <= 0.0 else 0.0),
-                                    (False, depth_b, pc.p if pc.b >= 1.0 else 0.0)):
-        segs += [(from_a, 4.0 ** -(j + 1), 4.0 ** -j, gauss) for j in range(depth)]
-        segs.append((from_a, 0.0, 4.0 ** -depth, _jacobi_rule(exponent)))
     total = np.zeros(s.shape)
-    for from_a, t0, t1, (x, w) in segs:
+    for from_a, t0, t1, (x, w) in _panel_segments(
+            panels, ((True, depth_a, pc.q if pc.a <= 0.0 else 0.0),
+                     (False, depth_b, pc.p if pc.b >= 1.0 else 0.0))):
         off = (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * x) * h[:, None]
         dva, dvb = (off, length[:, None] - off) if from_a else (length[:, None] - off, off)
         v = va[:, None] + dva

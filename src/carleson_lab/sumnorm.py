@@ -151,7 +151,8 @@ def sum_norm(
     """Certified value of the discretized sum-space norm.
 
     Terminates when the relative duality gap drops below tol; otherwise
-    returns the best certified interval found with converged=False.
+    returns the best certified interval found with converged=False, whose
+    lower bound is at most what dual_bound reads for its dual witness.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -303,6 +304,12 @@ def sum_norm(
     # at an exact optimum the two bounds can cross by rounding; a lower
     # bound below the certified one stays valid
     best_lower = min(best_lower, best_upper)
+    dual_witness = GridFunction(best_psi)
+    if not converged:
+        # where d_n is below rounding, the witness's coefficients there are
+        # rounding noise that each transform draws anew, so the bound the
+        # witness reproduces through dual_bound can be lower than the score
+        best_lower = min(best_lower, dual_bound(u, dual_witness, mu))
     fv = CoeffVector(n_max, best_f)
     sf = synth(best_f[None])[0]
     g = GridFunction(u_grid - sf)
@@ -314,6 +321,6 @@ def sum_norm(
         gap=best_upper - best_lower,
         iterations=it,
         witness=witness,
-        dual_witness=GridFunction(best_psi),
+        dual_witness=dual_witness,
         converged=converged,
     )

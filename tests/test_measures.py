@@ -1,6 +1,7 @@
 """Unit tests for measures: moments, Carleson criteria, singular integrals,
 Laplace transforms, serialization."""
 
+import itertools
 import math
 import time
 
@@ -11,6 +12,7 @@ from scipy.special import logsumexp
 
 from carleson_lab.measures import (
     DELTA_GRID,
+    FOUR_PI,
     INF,
     TWO,
     LineMeasure,
@@ -282,7 +284,7 @@ def test_boundary_accessible():
 
 def test_singular_integral_closed_forms():
     # 2*pi int (1-r)/(1-r^2) dr = 2*pi int 1/(1+r) dr = 2*pi ln 2
-    assert singular_integral(power_disk(1.0)) == pytest.approx(2.0 * math.pi * math.log(2.0), rel=1e-10)
+    assert singular_integral(power_disk(1.0)) == pytest.approx(2.0 * math.pi * math.log(2.0), rel=1e-12)
     assert singular_integral(atom_disk(0.6)) == pytest.approx(2.0 * math.pi / 0.64, rel=1e-12)
     assert math.isinf(singular_integral(lebesgue_disk()))
     assert math.isinf(singular_integral(power_disk(-0.5)))
@@ -291,7 +293,47 @@ def test_singular_integral_closed_forms():
 def test_singular_integral_truncated_piece_finite():
     val = singular_integral(power_disk(0.0, b=0.5))
     # 2*pi * atanh(0.5) = pi * ln 3
-    assert val == pytest.approx(math.pi * math.log(3.0), rel=1e-10)
+    assert val == pytest.approx(math.pi * math.log(3.0), rel=1e-12)
+
+
+def singular_piece_ref(a, b, c, p, q):
+    """2*pi * int_a^b c (1-r)^(p-1) r^q/(1+r) dr in mpmath, in r = e^s below
+    r = 1/2 and in 1 - r = e^t above, which leaves no endpoint singularity
+    (at r = 0 or 1, reached or just beyond the piece) for the quadrature."""
+    a, b, p, q = (mpmath.mpf(v) for v in (a, b, p, q))
+    half = mpmath.mpf(1) / 2
+    total = mpmath.mpf(0)
+    if a < half:
+        total += mpmath.quad(
+            lambda s: (1 - mpmath.exp(s)) ** (p - 1) * mpmath.exp(s * (q + 1)) / (1 + mpmath.exp(s)),
+            [-mpmath.inf if a == 0 else mpmath.log(a), mpmath.log(min(b, half))])
+    if b > half:
+        total += mpmath.quad(
+            lambda t: mpmath.exp(t * p) * (1 - mpmath.exp(t)) ** q / (2 - mpmath.exp(t)),
+            [-mpmath.inf if b == 1 else mpmath.log(1 - b), mpmath.log(1 - max(a, half))])
+    return 2 * mpmath.pi * c * total
+
+
+@pytest.mark.parametrize("p", [-0.5, 0.0, 0.3, 1.0, 1.9])
+def test_singular_integral_matches_mpmath(p):
+    for a, b, q in itertools.product([0.0, 0.3], [0.5, 0.999999, 1.0], [0.0, 0.5, 2.0]):
+        if p <= 0.0 and b >= 1.0:
+            continue  # +inf, covered by the closed-form test
+        got = singular_integral(RadialMeasure(pieces=(RadialPiece(a, b, 1.3, p, q),)))
+        with mpmath.workdps(30):
+            want = float(singular_piece_ref(a, b, 1.3, p, q))
+        assert got == pytest.approx(want, rel=1e-12), (a, b, q)
+
+
+def test_singular_integral_mixed_measure_matches_mpmath():
+    mu = RadialMeasure(atoms=((0.0, 0.5), (0.9, 2.0)),
+                       pieces=(RadialPiece(0.0, 0.4, 1.0, -0.5, 0.5),
+                               RadialPiece(0.4, 1.0, 0.7, 0.3, 2.0)))
+    with mpmath.workdps(30):
+        want = (2 * mpmath.pi * (0.5 + 2.0 / (1 - mpmath.mpf(0.9) ** 2))
+                + singular_piece_ref(0.0, 0.4, 1.0, -0.5, 0.5)
+                + singular_piece_ref(0.4, 1.0, 0.7, 0.3, 2.0))
+    assert singular_integral(mu) == pytest.approx(float(want), rel=1e-12)
 
 
 def test_vertical_carleson():
@@ -341,12 +383,29 @@ def test_laplace_vector_input():
 
 
 def test_laplace_singular_piece_quadrature():
-    # p <= -1 off the origin exercises the quadrature branch
+    # p <= -1 off the origin exercises the upper incomplete gamma branch
     pi = VerticalMeasure(pieces=(VerticalPiece(1.0, 2.0, 1.0, -2.0),))
     val = laplace_transform(pi, 0.5, TWO)
-    from scipy.integrate import quad
-    ref, _ = quad(lambda y: y**-2.0 * math.exp(-y), 1.0, 2.0)
-    assert val == pytest.approx(ref, rel=1e-9)
+    ref = mpmath.quad(lambda y: y**-2 * mpmath.exp(-y), [1, 2])
+    assert val == pytest.approx(float(ref), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [-1.0, -1.5, -2.0, -3.7])
+def test_laplace_upper_gamma_matches_mpmath(p):
+    xi = np.logspace(-3, 2, 41)
+    for a, b, convention in itertools.product([0.1, 1.0], [2.0, 50.0, INF], [TWO, FOUR_PI]):
+        got = laplace_transform(VerticalMeasure(pieces=(VerticalPiece(a, b, 1.3, p),)), xi, convention)
+        k = 2 if convention == TWO else 4 * mpmath.pi
+        with mpmath.workdps(30):
+            ref = np.array([float(1.3 * mpmath.gammainc(p + 1, k * x * a, mpmath.inf if b == INF else k * x * b)
+                                  / (k * x) ** (p + 1)) for x in xi])
+        # relative while s*a <= 10; beyond, the recurrence of DLMF 8.8.2
+        # cancels, and the values, which carry exp(-s*a), are held against
+        # the grid's largest one
+        err = np.abs(got - ref)
+        near = np.array([float(k) * x * a <= 10.0 for x in xi])
+        assert np.all(err[near] <= 1e-12 * ref[near]), (a, b, convention)
+        assert np.max(err) <= 1e-12 * np.max(ref), (a, b, convention)
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,17 @@ def test_non_convergence_reported(lebesgue):
     assert cert.lower <= cert.upper
 
 
+def test_unconverged_lower_bound_reproduced_by_its_witness():
+    # d_64 = 1.4e-19 is below rounding: the loop's own score of the witness
+    # read 0.0172, while the witness, transformed again, certifies 0.0072
+    u, mu = random_poly(0, 77, 64), atom_disk(0.5)
+    cert = sum_norm(u, mu, m=512, tol=1e-3, max_iters=3000)
+    assert not cert.converged
+    assert cert.lower == pytest.approx(dual_bound(u, cert.dual_witness, mu), rel=1e-9)
+    assert cert.lower <= cert.upper
+    assert cert.gap == cert.upper - cert.lower
+
+
 def test_monotone_in_weight(lebesgue):
     rng = rng_for(24)
     u = random_coeff_vector(rng, 4)
