@@ -3,24 +3,26 @@ Sobolev-type norm diagonal in the moments, the analytic Bergman norm, the
 bounded weight w_sigma, the Cauchy-kernel bound, and the Poisson-sup
 functional.
 
-w_sigma integrates each piece by composite Gauss-Legendre on panels graded
-toward r = 1; poisson_sup evaluates its whole theta grid by closed forms
-(atoms, constant-density pieces) and a fixed composite Gauss(-Jacobi) rule
-in a variable that flattens the Poisson kernel (other pieces), on the panel
-layout it shares with measures.singular_integral (whose square root is the
-Cauchy-kernel bound).  No adaptive quadrature runs here.
+poisson_sup and w_sigma share one evaluation of the Poisson integral over
+a theta grid (_poisson_values): closed forms for atoms and constant-density
+pieces, and for other pieces a fixed composite Gauss(-Jacobi) rule in a
+variable that flattens the Poisson kernel, on the panel layout it shares
+with measures.singular_integral (whose square root is the Cauchy-kernel
+bound).  w_sigma is that integral in s = r^2, except below r = 1/2 where it
+takes a fixed rule in r; analyze_w_sigma_errors subtracts the cusp of w_sigma
+at theta = 0 before its Fourier analysis.  No adaptive quadrature runs here.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammaln
 
 from .fourier import CoeffVector, GridFunction, analyze
-from .measures import (INF, RadialMeasure, _grading_depth, _panel_segments, moment_array,
+from .measures import (INF, RadialMeasure, RadialPiece, _grading_depth, _panel_segments, moment_array,
                        radial_carleson, singular_integral)
 
 
@@ -53,40 +55,21 @@ def a2_norm(u: CoeffVector, mu: RadialMeasure) -> float:
     return hmu_norm(u, mu)
 
 
-def _radial_panels(a: float, b: float) -> np.ndarray:
-    """Panel breakpoints on [a, b), geometrically refined down to width
-    1e-10 toward r = b when the piece reaches the boundary."""
-    if b < 1.0:
-        return np.linspace(a, b, 17)
-    pts = [a]
-    width = b - a
-    while width > 1e-10:
-        width *= 0.5
-        pts.append(b - width)
-    pts.append(b)
-    return np.asarray(pts)
+_THETA_BLOCK = 256  # theta values per block in _poisson_values, to bound its node arrays
+_ROOT_SPLIT = 0.5  # w_sigma takes [a, 1/2) of a piece with p != 0 in r, the rest in s = r^2
 
 
-_THETA_BLOCK = 256  # theta values per block in w_sigma and poisson_sup, to bound their node arrays
-
-
-@lru_cache(maxsize=1)
-def _gauss_legendre_24():
-    """w_sigma's 24-point Gauss-Legendre panel rule on [-1, 1], computed on
-    first use (importing numpy.polynomial costs memory that callers without
-    w_sigma need not pay)."""
-    return np.polynomial.legendre.leggauss(24)
-
-
-def _piece_quad_nodes(a: float, b: float):
-    """Composite 24-point Gauss-Legendre nodes/weights on graded panels of [a, b)."""
-    x, w = _gauss_legendre_24()
-    brk = _radial_panels(a, b)
-    mids = 0.5 * (brk[1:] + brk[:-1])
-    halfs = 0.5 * (brk[1:] - brk[:-1])
-    nodes = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
-    wts = (halfs[:, None] * w[None, :]).ravel()
-    return nodes, wts
+def _near_origin_rule(pc, b: float):
+    """Nodes r and weights of int_a^b f(r) c*(1-r)^p*r^q dr: one Gauss(-Jacobi)
+    panel, weight r^q at a = 0, graded toward r = 0 when a > 0 is near it and
+    q is not an integer.  For b <= 1/2 the poles r = +-e^{+-i theta/2} of
+    w_sigma's kernel stay at least 1/2 away from [a, b]."""
+    h = b - pc.a
+    depth = 0 if pc.a <= 0.0 or pc.q == int(pc.q) else _grading_depth(pc.a, h)
+    segs = _panel_segments(1, ((True, depth, pc.q if pc.a <= 0.0 else 0.0),))
+    r = np.concatenate([pc.a + (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * x) * h for _, t0, t1, (x, _) in segs])
+    wts = np.concatenate([0.5 * (t1 - t0) * h * w for _, t0, t1, (_, w) in segs])
+    return r, pc.c * wts * (1.0 - r) ** pc.p * r**pc.q
 
 
 def w_sigma(mu: RadialMeasure, m: int) -> GridFunction:
@@ -94,54 +77,63 @@ def w_sigma(mu: RadialMeasure, m: int) -> GridFunction:
 
     For Carleson measures this weight is bounded with Fourier coefficients
     sgn(n)*sigma_n; a warning is issued (not an error) otherwise.
+
+    With s = r^2, |r^2 - e^{-i theta}|^2 = (s - cos theta)^2 + sin^2 theta,
+    so w_sigma/(2i) is poisson_sup's integral of the image of r^2 sigma(dr):
+    an atom w at r becomes w*r^2 at r^2, and c*(1-r)^p*r^q dr on [a, b)
+    becomes (c/2)*(1-s)^p*s^((q+1)/2)*(1+sqrt s)^(-p) ds on [a^2, b^2).  A
+    piece with p != 0 takes its part below r = 1/2, where sqrt(s) is not
+    smooth, by _near_origin_rule in r instead.  w_sigma is odd about
+    theta = pi, so only theta in (0, pi) is evaluated.
     """
     _, ok = radial_carleson(mu)
     if not ok:
         warnings.warn("measure fails the radial Carleson criterion; w_sigma is expected unbounded")
-    theta = 2.0 * math.pi * np.arange(m) / m
-    sin_t = np.sin(theta)
-    cos_t = np.cos(theta)
-    vals = np.zeros(m)
-    for r, wgt in mu.atoms:
-        r2 = r * r
-        # |r^2 - e^{-i theta}|^2 written cancellation-free
-        vals += wgt * r2 * sin_t / ((r2 - cos_t) ** 2 + sin_t**2)
+    theta = 2.0 * math.pi * np.arange(1, (m + 1) // 2) / m
+    atoms = [(r * r, w * r * r) for r, w in mu.atoms]
+    pieces = []
     for pc in mu.pieces:
-        nodes, wts = _piece_quad_nodes(pc.a, pc.b)
-        r2 = nodes**2
-        weighted = (pc.c * (1.0 - nodes) ** pc.p * nodes**pc.q * wts * r2)[:, None]
-        for lo in range(0, m, _THETA_BLOCK):
-            blk = slice(lo, lo + _THETA_BLOCK)
-            denom = (r2[:, None] - cos_t[None, blk]) ** 2 + sin_t[None, blk] ** 2
-            vals[blk] += sin_t[blk] * np.sum(weighted / denom, axis=0)
-    return GridFunction(2j * vals)
+        a = pc.a
+        if pc.p != 0.0 and a < _ROOT_SPLIT:
+            r, wts = _near_origin_rule(pc, min(pc.b, _ROOT_SPLIT))
+            atoms += zip(r * r, wts * r * r)
+            a = _ROOT_SPLIT
+        if pc.b > a:
+            pieces.append((RadialPiece(a * a, pc.b * pc.b, 0.5 * pc.c, pc.p, 0.5 * (pc.q + 1.0)), pc.p))
+    half = _poisson_values(atoms, pieces, theta)
+    mid = np.zeros(1 - m % 2)  # theta = pi for even m
+    return GridFunction(2j * np.concatenate(([0.0], half, mid, -half[::-1])))
 
 
 def analyze_w_sigma_errors(mu: RadialMeasure, m: int = 4096, n_max: int = 64) -> float:
     """Max over |n| <= n_max of |analyze(w_sigma)(n) - sgn(n) sigma_n|.
 
-    A p = 0 piece reaching r = 1 gives sigma density c there, so sigma_n ~
-    c/(2n) and w_sigma jumps at theta = 0 like c*i*(pi - theta)/2 on
-    (0, 2*pi).  Trapezoidal analysis of that jump aliases at ~ n/m^2, so the
-    jump is subtracted from the samples (value 0 at theta = 0, the jump's
-    midpoint) before `analyze` and its exact coefficients c*sgn(n)/(2|n|)
-    are added back (singularity subtraction).  c is read off the measure's
-    density at r = 1, never from sigma_n, so the check stays independent of
-    the moments it verifies.
-
-    Open case: pieces (1-r)^p dr with small p > 0 reaching r = 1 give w_sigma
-    a cusp at theta = 0, not a jump, so nothing is subtracted and the error
-    stays above 1e-6 (5.7e-6 at p = 0.01, m = 4096, n_max = 64).
+    A piece c*(1-r)^p*r^q reaching r = 1 with 0 <= p < 1 gives sgn(n)*sigma_n
+    ~ sgn(n)*A*Gamma(|n|-p)/Gamma(|n|+1), A = c*Gamma(p+1)*2^(-p-1), the
+    coefficients of the cusp A*Gamma(-p)*[(1-e^{i theta})^p - (1-e^{-i theta})^p]
+    of w_sigma at theta = 0 (at p = 0 its limit, the jump c*i*(pi - theta)/2).
+    Trapezoidal analysis aliases it at ~ n/m^(p+2), so it is subtracted from
+    the samples (0 at theta = 0, the jump's midpoint) before `analyze` and its
+    exact coefficients are added back (singularity subtraction).  c and p are
+    read off the pieces, never from sigma_n, so the check stays independent
+    of the moments it verifies.
     """
     g = w_sigma(mu, m)
-    c = sum(pc.c for pc in mu.pieces if pc.b >= 1.0 and pc.p == 0.0)
-    jump = 0.5j * c * (math.pi - g.thetas)
-    jump[0] = 0.0
-    hat = analyze(GridFunction(g.samples - jump), n_max)
-    ns = hat.ns
-    jump_hat = c * np.sign(ns) / (2.0 * np.maximum(np.abs(ns), 1))
+    ns = np.arange(-n_max, n_max + 1)
+    k = np.maximum(np.abs(ns), 1)
+    half = 0.5 * (math.pi - g.thetas)
+    sing, sing_hat = np.zeros(m, dtype=complex), np.zeros(ns.size)
+    for pc in mu.pieces:
+        if pc.b >= 1.0 and 0.0 <= pc.p < 1.0:
+            amp = pc.c * math.gamma(pc.p + 1.0) * 2.0 ** (-pc.p - 1.0)
+            # A*Gamma(-p)*[...] = 2i*A*Gamma(1-p)*(2 sin(theta/2))^p*sin(p*half)/p
+            sing += 2j * amp * math.gamma(1.0 - pc.p) * (2.0 * np.sin(0.5 * g.thetas)) ** pc.p \
+                * half * np.sinc(pc.p * half / math.pi)
+            sing_hat += amp * np.sign(ns) * np.exp(gammaln(k - pc.p) - gammaln(k + 1.0))
+    sing[0] = 0.0
+    hat = analyze(GridFunction(g.samples - sing), n_max)
     ref = np.sign(ns) * moment_array(mu, n_max)[np.abs(ns)]
-    return float(np.max(np.abs(hat.coeffs + jump_hat - ref)))
+    return float(np.max(np.abs(hat.coeffs + sing_hat - ref)))
 
 
 def cauchy_kernel_bound(mu: RadialMeasure) -> float:
@@ -158,9 +150,10 @@ def default_theta_grid(k: int = 2048) -> np.ndarray:
 _PANEL_WIDTH = 2.0  # largest panel width in v of poisson_sup's composite rule
 
 
-def _poisson_piece(pc, s: np.ndarray, half_cos: np.ndarray) -> np.ndarray:
-    """int_a^b c*(1-r)^p*r^q * sin(t)/((r - cos t)^2 + sin^2 t) dr for one piece,
-    vectorised over theta; s = sin(theta), half_cos = 1 - cos(theta).
+def _poisson_piece(pc, s: np.ndarray, half_cos: np.ndarray, root_p: float = 0.0) -> np.ndarray:
+    """int_a^b c*(1-r)^p*r^q*(1+sqrt r)^(-root_p) * sin(t)/((r - cos t)^2 + sin^2 t) dr
+    for one piece, vectorised over theta; s = sin(theta), half_cos =
+    1 - cos(theta).  A nonzero root_p needs a > 0 (w_sigma's pieces in r^2).
 
     r = cos(t) + sin(t)*tan(phi) turns the kernel times dr into d phi, and
     tan(phi) = sinh(v) turns d phi into sech(v) dv: the Lorentzian tails,
@@ -180,7 +173,7 @@ def _poisson_piece(pc, s: np.ndarray, half_cos: np.ndarray) -> np.ndarray:
     panels = max(2, math.ceil(float(np.max(length)) / _PANEL_WIDTH))
     h = length / panels
     smooth_p = pc.p == int(pc.p) and pc.p >= 0.0
-    smooth_q = pc.q == int(pc.q)
+    smooth_q = pc.q == int(pc.q) and root_p == 0.0  # (1+sqrt r)^(-root_p) branches at r = 0
     depth_b = 0 if pc.b >= 1.0 or smooth_p else \
         _grading_depth(np.arcsinh(half_cos / s) - vb, h)
     depth_a = 0 if pc.a <= 0.0 or smooth_q else \
@@ -194,36 +187,42 @@ def _poisson_piece(pc, s: np.ndarray, half_cos: np.ndarray) -> np.ndarray:
         v = va[:, None] + dva
         above_a = 2.0 * s[:, None] * np.cosh(va[:, None] + 0.5 * dva) * np.sinh(0.5 * dva)
         below_b = 2.0 * s[:, None] * np.cosh(vb[:, None] - 0.5 * dvb) * np.sinh(0.5 * dvb)
-        dens = (1.0 - pc.b + below_b) ** pc.p * (pc.a + above_a) ** pc.q / np.cosh(v)
+        r = pc.a + above_a
+        dens = (1.0 - pc.b + below_b) ** pc.p * r**pc.q / np.cosh(v)
+        if root_p:
+            dens *= (1.0 + np.sqrt(r)) ** -root_p
         total += 0.5 * (t1 - t0) * h * (dens @ w)
     return pc.c * total
 
 
-def poisson_sup(alpha: RadialMeasure, theta_grid=None) -> float:
-    """Grid sup over theta in (0, pi) of int sin(theta)/((r-cos t)^2 + sin^2 t) alpha(dr).
-
-    The whole grid is evaluated at once: atoms in closed form;
-    constant-density pieces (p = q = 0) as the exact arctangent difference,
-    written as one arctan2 so that it keeps its relative accuracy at small
-    theta; other pieces by the composite Gauss(-Jacobi) rule of
-    _poisson_piece, in blocks of _THETA_BLOCK angles.  Power-law tails
-    failing the Carleson criterion classify analytically to +inf.
-    """
-    for pc in alpha.pieces:
-        if pc.b >= 1.0 and pc.p < 0.0:
-            return INF
-    theta = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
+def _poisson_values(atoms, pieces, theta: np.ndarray) -> np.ndarray:
+    """int sin(theta)/((r-cos t)^2 + sin^2 t) alpha(dr) at each theta in (0, pi),
+    alpha given by atoms (r, w) and pieces (pc, root_p) (see _poisson_piece):
+    atoms in closed form; constant-density pieces as the exact arctangent
+    difference, written as one arctan2 so that it keeps its relative accuracy
+    at small theta; other pieces by _poisson_piece, in blocks of _THETA_BLOCK."""
     s, co = np.sin(theta), np.cos(theta)
     half_cos = 2.0 * np.sin(0.5 * theta) ** 2  # 1 - cos(theta) without cancellation
     val = np.zeros(theta.shape)
-    for r, w in alpha.atoms:
+    for r, w in atoms:
         val += w * s / ((r - co) ** 2 + s * s)
-    for pc in alpha.pieces:
+    for pc, root_p in pieces:
         if pc.p == 0.0 and pc.q == 0.0:
             da, db = pc.a - 1.0 + half_cos, pc.b - 1.0 + half_cos
             val += pc.c * np.arctan2(s * (pc.b - pc.a), s * s + da * db)
             continue
         for lo in range(0, theta.size, _THETA_BLOCK):
             blk = slice(lo, lo + _THETA_BLOCK)
-            val[blk] += _poisson_piece(pc, s[blk], half_cos[blk])
-    return float(np.max(val))
+            val[blk] += _poisson_piece(pc, s[blk], half_cos[blk], root_p)
+    return val
+
+
+def poisson_sup(alpha: RadialMeasure, theta_grid=None) -> float:
+    """Grid sup over theta in (0, pi) of int sin(theta)/((r-cos t)^2 + sin^2 t) alpha(dr),
+    the whole grid evaluated at once by _poisson_values.  Power-law tails
+    failing the Carleson criterion classify analytically to +inf.
+    """
+    if any(pc.b >= 1.0 and pc.p < 0.0 for pc in alpha.pieces):
+        return INF
+    theta = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
+    return float(np.max(_poisson_values(alpha.atoms, [(pc, 0.0) for pc in alpha.pieces], theta)))

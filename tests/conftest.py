@@ -102,12 +102,12 @@ def random_line_measure(rng: np.random.Generator) -> LineMeasure:
 def carleson_measures():
     """Carleson radial measures whose w_sigma Fourier check meets 1e-6.
 
-    A p = 0 piece reaching r = 1 would also do: its jump is subtracted before
-    the analysis.  A piece (1-r)^p dr with small p > 0 reaching r = 1 would
-    not: its cusp at theta = 0 still aliases above 1e-6."""
+    (1-r)^0.1 dr reaches r = 1 with a cusp of w_sigma at theta = 0, which the
+    check subtracts before the analysis (5.7e-10; 2.5e-6 without)."""
     return {
         "atom_half": atom_disk(0.5),
         "atom_09": atom_disk(0.9),
+        "one_minus_r_pow_0.1": power_disk(0.1),
         "one_minus_r": power_disk(1.0),
         "one_minus_r_sq": power_disk(2.0),
         "mixed": RadialMeasure(atoms=((0.3, 0.5),), pieces=(RadialPiece(0.0, 1.0, 1.0, 1.0, 0.0),)),

@@ -9,8 +9,6 @@ import pytest
 from carleson_lab.fourier import CoeffVector, analyze, synthesize
 from carleson_lab.measures import RadialMeasure, RadialPiece, atom_disk, lebesgue_disk, moment_array, power_disk
 from carleson_lab.norms import (
-    _THETA_BLOCK,
-    _piece_quad_nodes,
     a2_norm,
     analyze_w_sigma_errors,
     cauchy_kernel_bound,
@@ -85,22 +83,72 @@ def test_w_sigma_imaginary_odd():
     assert np.max(np.abs(v[1:] + v[:0:-1])) < 1e-12  # odd in theta
 
 
-def test_w_sigma_theta_blocks_match_one_array():
-    # the node x theta kernel is summed in blocks of _THETA_BLOCK angles; the
-    # sums, and their order, are those of one node x theta array
-    m = 2 * _THETA_BLOCK + 88
-    mu = RadialMeasure(atoms=((0.6, 0.5),),
-                       pieces=(RadialPiece(0.0, 0.5, 1.0, 0.3, 1.0), RadialPiece(0.5, 1.0, 2.0, 1.5, 0.0)))
-    theta = 2.0 * math.pi * np.arange(m) / m
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
-    vals = 0.5 * 0.36 * sin_t / ((0.36 - cos_t) ** 2 + sin_t**2)
-    for pc in mu.pieces:
-        nodes, wts = _piece_quad_nodes(pc.a, pc.b)
-        r2 = nodes**2
-        dens = pc.c * (1.0 - nodes) ** pc.p * nodes**pc.q * wts
-        denom = (r2[:, None] - cos_t[None, :]) ** 2 + sin_t[None, :] ** 2
-        vals += sin_t * np.sum((dens * r2)[:, None] / denom, axis=0)
-    assert np.array_equal(w_sigma(mu, m).samples, 2j * vals)
+@pytest.mark.parametrize("p", [0.01, 0.1, 0.2, 0.5])
+def test_w_sigma_cusp_subtraction(p):
+    # (1-r)^p dr with 0 < p < 1 gives w_sigma a cusp at theta = 0; without its
+    # subtraction these read 5.7e-6, 2.5e-6, 1.0e-6 and 7.5e-8, with it
+    # 1.0e-9, 5.7e-10, 2.8e-10 and 3.4e-11
+    assert analyze_w_sigma_errors(power_disk(p), m=4096, n_max=64) < 1e-8
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 256, 1001])
+def test_w_sigma_grid_edges_and_oddness(m):
+    mu = RadialMeasure(atoms=((0.5, 1.0),), pieces=(RadialPiece(0.0, 1.0, 1.0, 0.5, 0.5),))
+    g = w_sigma(mu, m)
+    assert g.m == m
+    assert np.all(g.samples.real == 0.0)
+    v = g.samples.imag
+    assert v[0] == 0.0  # theta = 0
+    if m % 2 == 0:
+        assert v[m // 2] == 0.0  # theta = pi
+    assert np.array_equal(v[1:], -v[:0:-1])  # exactly odd in theta
+    if m > 2:
+        assert np.all(v[1:(m + 1) // 2] > 0.0)
+
+
+def w_sigma_ref(mu, k: int, m: int) -> float:
+    """w_sigma/(2i) at theta = 2*pi*k/m by 30-digit mpmath quadrature in r,
+    split around the kernel's peak at r^2 = cos theta."""
+    with mpmath.workdps(30):
+        t = 2 * mpmath.pi * k / m
+        s, co = mpmath.sin(t), mpmath.cos(t)
+
+        def kernel(r):
+            return r * r * s / ((r * r - co) ** 2 + s * s)
+
+        total = sum(w * kernel(mpmath.mpf(r)) for r, w in mu.atoms)
+        peak = mpmath.sqrt(co) if co > 0 else mpmath.mpf(0)
+        for pc in mu.pieces:
+            pts = {mpmath.mpf(pc.a), mpmath.mpf(pc.b)}
+            pts.update(peak + j * s for j in (-100, -10, -3, -1, 0, 1, 3, 10, 100) if pc.a < peak + j * s < pc.b)
+            total += mpmath.quad(lambda r: pc.c * (1 - r) ** pc.p * r**pc.q * kernel(r), sorted(pts))
+        return float(total)
+
+
+W_SIGMA_MEASURES = {
+    "lebesgue": lebesgue_disk(),
+    "p=0.5": power_disk(0.5),
+    "p=1.3": power_disk(1.3),
+    "from_0_p=0.2_q=2.5": RadialMeasure(pieces=(RadialPiece(0.0, 1.0, 1.0, 0.2, 2.5),)),
+    "from_0_p=0.7_q=0.3": RadialMeasure(pieces=(RadialPiece(0.0, 1.0, 1.0, 0.7, 0.3),)),
+    "from_1e-3_p=0.7_q=0.3": RadialMeasure(pieces=(RadialPiece(1e-3, 1.0, 1.0, 0.7, 0.3),)),
+    "from_0_p=-0.5_q=1.5_b=0.9": RadialMeasure(pieces=(RadialPiece(0.0, 0.9, 1.0, -0.5, 1.5),)),
+    "inside_0.3_0.8": RadialMeasure(pieces=(RadialPiece(0.3, 0.8, 1.3, 1.5, 0.5),)),
+    "atoms_plus_pieces": RadialMeasure(
+        atoms=((0.6, 0.5),),
+        pieces=(RadialPiece(0.0, 0.5, 1.0, 0.3, 1.0), RadialPiece(0.5, 1.0, 2.0, 1.5, 0.0))),
+}
+
+
+@pytest.mark.parametrize("mu", W_SIGMA_MEASURES.values(), ids=W_SIGMA_MEASURES.keys())
+def test_w_sigma_matches_mpmath(mu):
+    # the Poisson rule in s = r^2 (and in r below r = 1/2) against quadrature
+    # in r, at small theta, around theta = pi and in between
+    m = 4096
+    v = 0.5 * w_sigma(mu, m).samples.imag
+    for k in (1, 3, 700, m // 2 - 1, m // 2 + 1, m - 1):
+        ref = w_sigma_ref(mu, k, m)
+        assert v[k] == pytest.approx(ref, rel=1e-11), k
 
 
 def test_w_sigma_warns_non_carleson():
