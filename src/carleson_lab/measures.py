@@ -387,16 +387,19 @@ def _panel_segments(panels: int, ends) -> list:
 # moments
 
 
-@lru_cache(maxsize=4096)
 def moment(mu: RadialMeasure, n: int) -> float:
     """sigma_n = int_0^1 r^{2|n|} sigma(dr)."""
     return float(moment_array(mu, abs(int(n)))[-1])
 
 
+@lru_cache(maxsize=256)
 def moment_array(mu: RadialMeasure, n_max: int) -> np.ndarray:
-    """[sigma_0, ..., sigma_{n_max}]; underflows to 0 below the float floor."""
+    """[sigma_0, ..., sigma_{n_max}]; underflows to 0 below the float floor.
+    Cached per (measure, n_max), so the array is shared and read-only."""
     with np.errstate(under="ignore"):
-        return np.exp(log_moment_array(mu, n_max))
+        sig = np.exp(log_moment_array(mu, n_max))
+    sig.flags.writeable = False
+    return sig
 
 
 def log_moment_array(mu: RadialMeasure, n_max: int) -> np.ndarray:

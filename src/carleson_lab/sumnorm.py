@@ -20,11 +20,12 @@ better of the two under the weak-duality formula certifies the lower
 bound, so every result is a certified interval.
 
 The upper bound starts at the better single-term split, f = u or f = 0,
-and each split has a closed-form dual candidate: sign(u) for the L^1
-term, the subgradient D^2 u/||D u|| for the weighted one.  Both are scored
-by the same formula before the first iteration; if the better one closes
-the gap the split is optimal and the result has iterations = 0.
-Otherwise that bound is dropped and the loop runs as it would without it.
+whose closed-form dual candidate is the subgradient D^2 u/||D u|| of the
+weighted term or sign(u) of the L^1 one.  Only that candidate is scored,
+by the same formula, before the first iteration; if it closes the gap the
+split is optimal, and the result returns at once with iterations = 0 and
+the exact witness.  Otherwise that bound is dropped and the loop runs as
+it would without it.
 
 Ill-conditioned weights d still leave the lower bound lagging: residual
 balancing settles on a rho that serves the primal iterate, while a rho
@@ -163,11 +164,6 @@ def sum_norm(
         raise ValueError(f"m={m} too small for degree {n_max}")
 
     u_grid = synthesize(u, m).samples
-    if np.max(np.abs(u.coeffs)) == 0.0:
-        f0 = CoeffVector.zero(n_max)
-        wit = Decomposition(f0, GridFunction(np.zeros(m, dtype=complex)), 0.0)
-        return CertifiedNorm(0.0, 0.0, 0.0, 0, wit, GridFunction(np.zeros(m, dtype=complex)))
-
     sig = moment_array(mu, n_max)
     ns = np.arange(-n_max, n_max + 1)
     d = np.sqrt(2.0 * math.pi * sig[np.abs(ns)])
@@ -188,15 +184,6 @@ def sum_norm(
     def coeffs(y):  # S*y / m row by row, the inverse of synth on its range
         return scipy.fft.fft(y, norm="forward").take(idx, axis=-1)
 
-    # single-term decompositions seed the upper bound
-    best_upper = hmu_norm_of_moments(u, sig)
-    best_f = u.coeffs.copy()
-    abs_u = np.abs(u_grid)
-    single_l1 = float(np.mean(abs_u))
-    if single_l1 < best_upper:
-        best_upper = single_l1
-        best_f = np.zeros_like(best_f)
-
     def score(cand, hat):  # weak-duality (lower, scale) of one dual candidate
         with np.errstate(divide="ignore", invalid="ignore"):  # hat / d at sigma_n = 0
             dh = float(np.linalg.norm(hat / d))
@@ -205,23 +192,29 @@ def sum_norm(
         scale = max(float(np.max(np.abs(cand))), dh, 1e-300)
         return float(abs(np.vdot(cand, u_grid)) / (m * scale)), scale
 
-    # the seeds' dual candidates (see the module docstring); a bound that
-    # leaves the gap open is dropped, so the loop runs as it would without it
-    seeds = [np.divide(u_grid, abs_u, out=np.zeros(m, dtype=complex), where=abs_u > 0.0)]
-    nu = float(np.linalg.norm(d * u.coeffs))
-    if nu > 0.0:
-        seeds.append(synth((d2 * u.coeffs / nu)[None])[0])
+    # the better single-term split seeds the upper bound, and its dual
+    # candidate (see the module docstring) may certify it exactly; at
+    # ||D u|| = 0 the split f = u reads 0 and its candidate is 0
+    best_upper = hmu_norm_of_moments(u, sig)
+    abs_u = np.abs(u_grid)
+    single_l1 = float(np.mean(abs_u))
+    if single_l1 < best_upper:  # f = 0, g = u
+        best_upper = single_l1
+        best_f, best_g = np.zeros_like(u.coeffs), u_grid
+        cand = np.divide(u_grid, abs_u, out=np.zeros(m, dtype=complex), where=abs_u > 0.0)
+    else:  # f = u, g = 0
+        best_f, best_g = u.coeffs.copy(), np.zeros(m, dtype=complex)
+        cand = synth((d2 * u.coeffs / (float(np.linalg.norm(d * u.coeffs)) or 1.0))[None])[0]
+    lower, scale = score(cand, coeffs(cand))
+    if best_upper - lower <= tol * max(best_upper, 1e-300):
+        lower = min(lower, best_upper)
+        return CertifiedNorm(best_upper, lower, best_upper - lower, 0,
+                             Decomposition(CoeffVector(n_max, best_f), GridFunction(best_g), 0.0),
+                             GridFunction(cand / scale))
+    # otherwise the bound is dropped, so the loop runs as it would without it
     best_lower = 0.0
     best_psi = np.zeros(m, dtype=complex)
-    for cand in seeds:
-        lower, scale = score(cand, coeffs(cand))
-        if lower > best_lower:
-            best_lower = lower
-            best_psi = cand / scale
-    converged = best_upper - best_lower <= tol * max(best_upper, 1e-300)
-    if not converged:
-        best_lower = 0.0
-        best_psi = np.zeros(m, dtype=complex)
+    converged = False
     it = 0
 
     inv_d2 = np.divide(1.0, d2, out=np.zeros_like(d2), where=d2 > 0.0)
@@ -235,7 +228,7 @@ def sum_norm(
     e = ug.copy()  # u minus the L^1 part z
     y = np.zeros((1, m), dtype=complex)  # scaled dual of S f + z = u
     f = np.empty((1, 2 * n_max + 1), dtype=complex)
-    for it in range(1, (0 if converged else max_iters) + 1):
+    for it in range(1, max_iters + 1):
         v = coeffs(e - y)
         for k, vk in enumerate(v):
             f[k], lam[k] = _prox_weighted_l2(vk, d2, inv_d2, 1.0 / (m * rho[k]), lam[k])

@@ -181,6 +181,17 @@ def test_wsigma_reports_the_grid_it_ran_at(tmp_path):
     assert json.loads(text)["params"]["grid"] == 4096
 
 
+@pytest.mark.parametrize("command", ["bbb", "adapted", "embedding"])
+def test_corpus_reports_the_tol_it_ran_at(tmp_path, command):
+    # a scan runs at tol max(tol, 1e-4); params say so
+    argv = [command, "--count", "1", "--n-max", "4", "--grid", "16"]
+    code, text = run_cli(tmp_path, *argv, "--tol", "1e-5")
+    assert code == EXIT_OK
+    assert json.loads(text)["params"]["tol"] == 0.0001
+    code, text = run_cli(tmp_path, *argv, "--tol", "1e-3")
+    assert json.loads(text)["params"]["tol"] == 0.001
+
+
 def test_halfplane_command(tmp_path):
     code, text = run_cli(tmp_path, "halfplane")
     assert code == EXIT_OK

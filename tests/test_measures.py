@@ -110,6 +110,21 @@ def test_moment_symmetric_in_n():
     assert moment(mu, -5) == moment(mu, 5)
 
 
+def test_moment_array_cached_read_only():
+    # one cached array per (measure, n_max), shared by equal measures and
+    # protected against writes by its callers
+    pieces = ((0.2, 0.9, 1.5, 0.5, 1.0),)
+    mu = RadialMeasure(atoms=((0.3, 2.0),), pieces=pieces)
+    sig = moment_array(mu, 40)
+    assert moment_array(mu, 40) is sig
+    assert moment_array(RadialMeasure(atoms=((0.3, 2.0),), pieces=pieces), 40) is sig
+    assert not sig.flags.writeable
+    with pytest.raises(ValueError):
+        sig[0] = 0.0
+    assert np.array_equal(sig, np.exp(log_moment_array(mu, 40)))
+    assert moment(mu, 7) == sig[7]
+
+
 def test_log_moments_beyond_float_floor():
     # atom at 0.5: sigma_n = 0.5^{2n} underflows near n = 537
     mu = atom_disk(0.5)

@@ -4,9 +4,11 @@ independent oracles on small instances: a cvxpy second-order-cone program
 `reference_oracle` picks the first where it can run, else the second."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.optimize import minimize
 
 from carleson_lab import sumnorm
@@ -201,6 +203,26 @@ def test_certificate_ordered_at_exact_optimum(lebesgue):
         assert dual_bound(u, cert.dual_witness, mu) == pytest.approx(cert.lower, rel=1e-9)
 
 
+def assert_exact_split(u, mu, m, tol, cert, weighted):
+    """An iteration-0 result hands back the split itself: f = u, g = 0
+    (weighted) or f = 0, g = u on the grid, with residual 0.0, upper that
+    split's norm bit for bit and lower what dual_bound reads for the dual
+    witness."""
+    assert cert.iterations == 0
+    assert cert.witness.residual == 0.0
+    u_grid = synthesize(u, m)
+    if weighted:
+        assert np.array_equal(cert.witness.f.coeffs, u.coeffs)
+        assert not np.any(cert.witness.g.samples)
+        assert cert.upper == hmu_norm(u, mu)
+    else:
+        assert not np.any(cert.witness.f.coeffs)
+        assert np.array_equal(cert.witness.g.samples, u_grid.samples)
+        assert cert.upper == l1_norm(u_grid)
+    assert dual_bound(u, cert.dual_witness, mu) == pytest.approx(cert.lower, rel=1e-12)
+    recheck(u, mu, tol, cert)
+
+
 def test_l1_seed_certifies_at_iteration_0(lebesgue):
     # sign(u) certifies f = 0: both adapted-pair vectors of (1-r)^{-1/2} dr on
     # [0, 0.999) at the corpus settings, and tiny Lebesgue shapes
@@ -217,10 +239,7 @@ def test_l1_seed_certifies_at_iteration_0(lebesgue):
         m = int(rng.integers(2 * n_max + 1, 17))
         cases.append((random_coeff_vector(rng, n_max), lebesgue, m, 5e-5))
     for u, mu, m, tol in cases:
-        cert = sum_norm(u, mu, m=m, tol=tol)
-        assert cert.iterations == 0
-        assert not np.any(cert.witness.f.coeffs)
-        recheck(u, mu, tol, cert)
+        assert_exact_split(u, mu, m, tol, sum_norm(u, mu, m=m, tol=tol), weighted=False)
 
 
 def test_weighted_seed_certifies_at_iteration_0():
@@ -232,10 +251,30 @@ def test_weighted_seed_certifies_at_iteration_0():
         u = random_poly(7, i, 64)
         v = multiplier(CoeffVector(64, u.coeffs / l2_norm(u)), pair.a)
         for x in (v, multiplier(v, pair.b)):
-            cert = sum_norm(x, mu, m=512, tol=1e-3)
-            assert cert.iterations == 0
-            assert np.array_equal(cert.witness.f.coeffs, x.coeffs)
-            recheck(x, mu, 1e-3, cert)
+            assert_exact_split(x, mu, 512, 1e-3, sum_norm(x, mu, m=512, tol=1e-3), weighted=True)
+
+
+def test_iteration_0_makes_at_most_two_ffts(monkeypatch):
+    # a certified split scores one dual candidate and synthesizes no witness:
+    # at most one transform to the grid and one back, counted in sumnorm's
+    # namespace
+    calls = []
+
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    fft = SimpleNamespace(fft=counted(scipy.fft.fft), ifft=counted(scipy.fft.ifft))
+    monkeypatch.setattr(sumnorm, "scipy", SimpleNamespace(fft=fft))
+    for mu, (s, i), want in ((RadialMeasure(pieces=((0.0, 0.999, 1.0, -0.5, 0.0),)), (0, 0), ["fft"]),
+                             (power_disk(1.0), (7, 4), ["ifft", "fft"])):
+        u = random_poly(s, i, 64)
+        v = multiplier(CoeffVector(64, u.coeffs / l2_norm(u)), adapted_pair(mu, 64).a)
+        calls.clear()
+        assert sum_norm(v, mu, m=512, tol=1e-3).iterations == 0
+        assert calls == want
 
 
 def test_uncertified_seed_still_iterates(lebesgue):
