@@ -119,7 +119,7 @@ def emit(report: dict, args) -> None:
 def _corpus(mu, args):
     args.tol = max(args.tol, 1e-4)  # the tol the scan runs at
     rep = corpus_scan(mu, args.count, seed=args.seed, n_max=args.n_max,
-                      which=args.command, m=args.grid, tol=args.tol)
+                      which=args.command, m=args.grid, tol=args.tol, max_iters=args.max_iters)
     return rep.to_dict(), EXIT_OK
 
 

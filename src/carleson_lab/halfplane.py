@@ -141,16 +141,21 @@ def _unit_kernel(p: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     For p >= 0 the primitive t^(p+1)/(p+1) * 2F1(1, (p+1)/2; (p+3)/2; -t^2),
     arctan(t) at p = 0 and log1p(t^2)/2 at p = 1; for p < 0 the identity
     t^p/(1+t^2) = t^p - t^(p+2)/(1+t^2), whose two parts differ by at most a
-    factor 2 on [0, 1], so nothing cancels as p -> -1 and p <= -1 works when lo > 0."""
+    factor 2 on [0, 1], so nothing cancels as p -> -1 and p <= -1 works when lo > 0.
+    hyp2f1 runs only strictly inside (0, 1): the primitive is 0 at t = 0, and
+    its value at t = 1 is one scalar call shared by every end point there."""
     if p < 0.0:
         head = _power_integral(p + 1.0, lo, hi)
         return np.where(np.isinf(head), head, head - _unit_kernel(p + 2.0, lo, hi))
     e = p + 1.0
-
-    def prim(t):
-        return t**e / e * hyp2f1(1.0, 0.5 * e, 0.5 * e + 1.0, -t * t)
-
-    return prim(hi) - prim(lo)
+    t = np.stack((hi, lo))
+    at_one = t == 1.0
+    inner = ~at_one & (t != 0.0)
+    ti = t[inner]
+    prim = np.zeros(t.shape)
+    prim[at_one] = 1.0 / e * hyp2f1(1.0, 0.5 * e, 0.5 * e + 1.0, -1.0)
+    prim[inner] = ti**e / e * hyp2f1(1.0, 0.5 * e, 0.5 * e + 1.0, -ti * ti)
+    return prim[0] - prim[1]
 
 
 def _kernel(p: float, lo, hi) -> np.ndarray:

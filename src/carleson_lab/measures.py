@@ -92,7 +92,8 @@ class LinePiece:
 
 _CF_EPS = np.finfo(float).eps  # convergence of a continued-fraction step to 1
 _CF_TINY = 1e-300  # modified Lentz replaces zero denominators by this
-_CF_MAX_TERMS = 1000  # cap on terms; below (a+1)/(a+b+2) under 100 were needed up to a = 1e8
+# cap on terms: _log_inc_beta needed under 100 up to a = 1e8, _upper_gamma under 100 at x = 1
+_CF_MAX_TERMS = 1000
 
 
 def _log_inc_beta(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -533,7 +534,8 @@ def laplace_transform(pi: VerticalMeasure, xi, convention: str = FOUR_PI):
     call per piece.  With s = k*|xi| an atom w at y gives w*exp(-s*y), and a
     piece c*y^p dy on [a, b) gives c*s^-(p+1) times the incomplete gamma
     difference over [s*a, s*b]: the lower one (gammainc) for p > -1, the
-    upper one (_upper_gamma, DLMF 8.8.2) for p <= -1, where a > 0.
+    upper one for p <= -1, where a > 0, as a^(p+1)*_upper_gamma(p+1, s*a)
+    minus the same at b, so that s^-(p+1) never multiplies a subnormal.
     """
     rate = _KERNEL_RATE[convention]
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -552,8 +554,8 @@ def laplace_transform(pi: VerticalMeasure, xi, convention: str = FOUR_PI):
                 lo = gammainc(e, sv * pc.a)
                 acc += pc.c * np.exp(gammaln(e) - e * np.log(sv)) * (hi - lo)
             else:
-                diff = _upper_gamma(e, sv * pc.a) - _upper_gamma(e, sv * pc.b)
-                acc += pc.c * sv**-e * diff
+                acc += pc.c * (pc.a**e * _upper_gamma(e, sv * pc.a)
+                               - pc.b**e * _upper_gamma(e, sv * pc.b))
     out[nz] = acc
     if np.isscalar(xi) or np.asarray(xi).ndim == 0:
         return float(out[0])
@@ -561,19 +563,45 @@ def laplace_transform(pi: VerticalMeasure, xi, convention: str = FOUR_PI):
 
 
 def _upper_gamma(e: float, x: np.ndarray) -> np.ndarray:
-    """Gamma(e, x) = int_x^inf t^(e-1) exp(-t) dt for e <= 0 and x > 0
-    (x = inf gives 0), elementwise; laplace_transform's p <= -1 pieces.
+    """x^-e * Gamma(e, x), Gamma(e, x) = int_x^inf t^(e-1) exp(-t) dt, for
+    e <= 0 and x > 0 (x = inf gives 0), elementwise; laplace_transform's
+    p <= -1 pieces.  The factor x^-e keeps the value normal where Gamma(e, x)
+    itself is subnormal.
 
-    Starts at the order e + n, n = ceil(-e): Gamma(0, x) = E_1(x) (exp1) for
-    integer e, else gammaincc * gamma at an order in (0, 1); then lowers
-    the order n times by DLMF 8.8.2, Gamma(a, x) = (Gamma(a+1, x) -
-    x^a exp(-x)) / a."""
+    Below x = 1 it starts at the order e + n, n = ceil(-e): Gamma(0, x) =
+    E_1(x) (exp1) for integer e, else gammaincc * gamma at an order in
+    (0, 1); then lowers the order n times by DLMF 8.8.2, Gamma(a, x) =
+    (Gamma(a+1, x) - x^a exp(-x)) / a, scaled by x^-a.  From x = 1 on, where
+    that recurrence cancels, it takes the continued fraction of DLMF 8.9.2,
+    exp(-x) / (x+1-e - 1*(1-e)/(x+3-e - 2*(2-e)/(x+5-e - ...))), by the
+    modified Lentz method over the whole array until every factor is 1 to
+    machine precision."""
+    out = np.zeros(x.shape)
+    low = x < 1.0
+    xl = x[low]
     n = math.ceil(-e)
     top = e + n
-    g = exp1(x) if top == 0.0 else gammaincc(top, x) * gamma(top)
+    g = exp1(xl) if top == 0.0 else gammaincc(top, xl) * gamma(top) * xl**-top
     for a in e + np.arange(n - 1, -1, -1):
-        g = (g - x**a * np.exp(-x)) / a
-    return g
+        g = (xl * g - np.exp(-xl)) / a
+    out[low] = g
+    far = ~low & np.isfinite(x)
+    xf = x[far]
+    b = xf + 1.0 - e
+    c = np.full(xf.shape, INF)  # Lentz's C_0 = inf makes C_1 = b_1
+    d = 1.0 / b
+    frac = d
+    for i in range(1, _CF_MAX_TERMS):
+        an = -i * (i - e)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        step = c * d
+        frac = frac * step
+        if np.all(np.abs(step - 1.0) <= _CF_EPS):
+            break
+    out[far] = np.exp(-xf) * frac
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ bounded weight w_sigma, the Cauchy-kernel bound, and the Poisson-sup
 functional.
 
 poisson_sup and w_sigma share one evaluation of the Poisson integral over
-a theta grid (_poisson_values): closed forms for atoms and constant-density
-pieces, and for other pieces a fixed composite Gauss(-Jacobi) rule in a
-variable that flattens the Poisson kernel, on the panel layout it shares
-with measures.singular_integral (whose square root is the Cauchy-kernel
-bound).  w_sigma is that integral in s = r^2, except below r = 1/2 where it
+a theta grid (_poisson_values): closed forms for atoms and for pieces of
+density c or c*r, and for other pieces a fixed composite Gauss(-Jacobi)
+rule in a variable that flattens the Poisson kernel, on the panel layout
+it shares with measures.singular_integral (whose square root is the
+Cauchy-kernel bound).  w_sigma is that integral in s = r^2, except below r = 1/2 where it
 takes a fixed rule in r; analyze_w_sigma_errors subtracts the cusp of w_sigma
 at theta = 0 before its Fourier analysis.  No adaptive quadrature runs here.
 """
@@ -200,16 +200,22 @@ def _poisson_values(atoms, pieces, theta: np.ndarray) -> np.ndarray:
     alpha given by atoms (r, w) and pieces (pc, root_p) (see _poisson_piece):
     atoms in closed form; constant-density pieces as the exact arctangent
     difference, written as one arctan2 so that it keeps its relative accuracy
-    at small theta; other pieces by _poisson_piece, in blocks of _THETA_BLOCK."""
+    at small theta, and density c*r as cos(theta) times that difference plus
+    (sin(theta)/2)*log((db^2 + sin^2)/(da^2 + sin^2)), da = a - cos(theta)
+    and db = b - cos(theta); other pieces by _poisson_piece, in blocks of
+    _THETA_BLOCK."""
     s, co = np.sin(theta), np.cos(theta)
     half_cos = 2.0 * np.sin(0.5 * theta) ** 2  # 1 - cos(theta) without cancellation
     val = np.zeros(theta.shape)
     for r, w in atoms:
         val += w * s / ((r - co) ** 2 + s * s)
     for pc, root_p in pieces:
-        if pc.p == 0.0 and pc.q == 0.0:
+        if pc.p == 0.0 and pc.q in (0.0, 1.0):
             da, db = pc.a - 1.0 + half_cos, pc.b - 1.0 + half_cos
-            val += pc.c * np.arctan2(s * (pc.b - pc.a), s * s + da * db)
+            integral = np.arctan2(s * (pc.b - pc.a), s * s + da * db)
+            if pc.q == 1.0:  # r = (r - cos t) + cos t splits off a logarithm
+                integral = co * integral + 0.5 * s * np.log((db * db + s * s) / (da * da + s * s))
+            val += pc.c * integral
             continue
         for lo in range(0, theta.size, _THETA_BLOCK):
             blk = slice(lo, lo + _THETA_BLOCK)

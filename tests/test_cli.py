@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from carleson_lab import harness
 from carleson_lab.cli import (
     EXIT_BAD_INPUT,
     EXIT_NO_CONVERGENCE,
@@ -28,6 +29,7 @@ from carleson_lab.measures import (
     lebesgue_line,
     power_disk,
 )
+from carleson_lab.sumnorm import sum_norm
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -190,6 +192,23 @@ def test_corpus_reports_the_tol_it_ran_at(tmp_path, command):
     assert json.loads(text)["params"]["tol"] == 0.0001
     code, text = run_cli(tmp_path, *argv, "--tol", "1e-3")
     assert json.loads(text)["params"]["tol"] == 0.001
+
+
+@pytest.mark.parametrize("command", ["bbb", "adapted", "embedding"])
+def test_corpus_passes_max_iters_to_every_solve(tmp_path, monkeypatch, command):
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["max_iters"])
+        return sum_norm(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "sum_norm", recording)
+    argv = [command, "--count", "2", "--n-max", "4", "--grid", "16"]
+    assert run_cli(tmp_path, *argv, "--max-iters", "123")[0] == EXIT_OK
+    assert seen and set(seen) == {123}
+    seen.clear()
+    assert run_cli(tmp_path, *argv)[0] == EXIT_OK
+    assert seen and set(seen) == {200_000}  # the default cap, as for sumnorm
 
 
 def test_halfplane_command(tmp_path):

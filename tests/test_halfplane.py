@@ -7,7 +7,9 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
+from carleson_lab import halfplane
 from carleson_lab.halfplane import (
     BandSignal,
     SpatialFunction,
@@ -169,6 +171,28 @@ def test_w_pi_sup_values():
     assert w_pi_sup(atom_halfplane(0.5)) == pytest.approx(1.0, rel=1e-12)
     bad = VerticalMeasure(pieces=(VerticalPiece(0.0, INF, 1.0, 1.0),))
     assert math.isinf(w_pi_sup(bad))
+
+
+def test_kernel_calls_hyp2f1_only_inside_unit_interval(monkeypatch):
+    # the kernel's primitive is 0 at t = 0 and one scalar at t = 1, so hyp2f1
+    # (argument -t^2) sees no t = 0 and t = 1 only in that scalar call, once
+    # per p >= 0 primitive; for dy on (0, inf) every grid point is an end point
+    calls = []
+
+    def counted(a, b, c, z):
+        calls.append(np.asarray(z))
+        return scipy.special.hyp2f1(a, b, c, z)
+
+    monkeypatch.setattr(halfplane, "hyp2f1", counted)
+    xs = halfplane.default_x_grid()
+    for pi, inner in ((lebesgue_halfplane(), 0),
+                      (VerticalMeasure(pieces=(VerticalPiece(0.0, 4.0, 1.0, 0.5),)), xs.size)):
+        calls.clear()
+        w_pi(pi, xs)
+        assert not any(np.any(z == 0.0) for z in calls)
+        at_one = [z for z in calls if np.any(z == -1.0)]
+        assert len(at_one) == 2 and all(z.ndim == 0 for z in at_one)
+        assert sum(z.size for z in calls if z.ndim) == inner
 
 
 def test_b2h_norm_atom_reference():

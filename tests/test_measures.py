@@ -414,13 +414,9 @@ def test_laplace_upper_gamma_matches_mpmath(p):
         with mpmath.workdps(30):
             ref = np.array([float(1.3 * mpmath.gammainc(p + 1, k * x * a, mpmath.inf if b == INF else k * x * b)
                                   / (k * x) ** (p + 1)) for x in xi])
-        # relative while s*a <= 10; beyond, the recurrence of DLMF 8.8.2
-        # cancels, and the values, which carry exp(-s*a), are held against
-        # the grid's largest one
-        err = np.abs(got - ref)
-        near = np.array([float(k) * x * a <= 10.0 for x in xi])
-        assert np.all(err[near] <= 1e-12 * ref[near]), (a, b, convention)
-        assert np.max(err) <= 1e-12 * np.max(ref), (a, b, convention)
+        # relative at every xi, also where exp(-s*a) leaves Gamma(p+1, s*a)
+        # subnormal (p = -3.7, a = 1, four_pi, xi = 56) or underflows to 0
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref), (a, b, convention)
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,7 @@ W_SIGMA_MEASURES = {
     "from_1e-3_p=0.7_q=0.3": RadialMeasure(pieces=(RadialPiece(1e-3, 1.0, 1.0, 0.7, 0.3),)),
     "from_0_p=-0.5_q=1.5_b=0.9": RadialMeasure(pieces=(RadialPiece(0.0, 0.9, 1.0, -0.5, 1.5),)),
     "inside_0.3_0.8": RadialMeasure(pieces=(RadialPiece(0.3, 0.8, 1.3, 1.5, 0.5),)),
+    "inside_0.2_0.7_r_dr": RadialMeasure(pieces=(RadialPiece(0.2, 0.7, 1.3, 0.0, 1.0),)),
     "atoms_plus_pieces": RadialMeasure(
         atoms=((0.6, 0.5),),
         pieces=(RadialPiece(0.0, 0.5, 1.0, 0.3, 1.0), RadialPiece(0.5, 1.0, 2.0, 1.5, 0.0))),
@@ -195,6 +196,7 @@ POISSON_PIECES = [RadialPiece(0.0, 1.0, 1.0, p, q) for p in (0.01, 0.5, 1.0, 1.5
     RadialPiece(0.0, 0.999, 1.0, -0.5, 0.0),  # density singular just beyond b
     RadialPiece(0.001, 0.5, 1.0, 1.5, 0.25),  # r^q singular just below a
     RadialPiece(0.2, 0.7, 2.0, 0.0, 0.0),  # constant density: arctangent difference
+    RadialPiece(0.2, 0.7, 2.0, 0.0, 1.0),  # density c*r: arctangent and logarithm
 ]
 
 
