@@ -8,9 +8,10 @@ a theta grid (_poisson_values): closed forms for atoms and for pieces of
 density c or c*r, and for other pieces a fixed composite Gauss(-Jacobi)
 rule in a variable that flattens the Poisson kernel, on the panel layout
 it shares with measures.singular_integral (whose square root is the
-Cauchy-kernel bound).  w_sigma is that integral in s = r^2, except below r = 1/2 where it
-takes a fixed rule in r; analyze_w_sigma_errors subtracts the cusp of w_sigma
-at theta = 0 before its Fourier analysis.  No adaptive quadrature runs here.
+Cauchy-kernel bound).  w_sigma is that integral in s = r^2, except below
+r = 1/2 where it takes a fixed rule in r; analyze_w_sigma_errors subtracts
+the cusp of w_sigma at theta = 0 before its Fourier analysis.  No adaptive
+quadrature runs here.
 """
 
 from __future__ import annotations
