@@ -27,6 +27,7 @@ from .measures import (
     LineMeasure,
     VerticalMeasure,
     laplace_transform,
+    power_integral,
     vertical_carleson,
 )
 
@@ -122,30 +123,18 @@ class SpatialFunction:
 # the bounded weight W built from the conjugate Poisson kernel
 
 
-def _power_integral(e: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """int_lo^hi t^(e-1) dt for 0 <= lo <= hi, as lo^e*expm1(e*log(hi/lo))/e so
-    that it stays exact as e -> 0 (log(hi/lo) at e = 0); +inf when lo = 0 < hi
-    and e <= 0."""
-    log_ratio = np.log(hi / lo)
-    if e == 0.0:
-        out = log_ratio
-    else:
-        from_zero = hi**e / e if e > 0.0 else INF
-        out = np.where(lo > 0.0, lo**e * np.expm1(e * log_ratio) / e, from_zero)
-    return np.where(hi > lo, out, 0.0)
-
-
 def _unit_kernel(p: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """int_lo^hi t^p/(1+t^2) dt for 0 <= lo <= hi <= 1.
 
     For p >= 0 the primitive t^(p+1)/(p+1) * 2F1(1, (p+1)/2; (p+3)/2; -t^2),
     arctan(t) at p = 0 and log1p(t^2)/2 at p = 1; for p < 0 the identity
-    t^p/(1+t^2) = t^p - t^(p+2)/(1+t^2), whose two parts differ by at most a
-    factor 2 on [0, 1], so nothing cancels as p -> -1 and p <= -1 works when lo > 0.
+    t^p/(1+t^2) = t^p - t^(p+2)/(1+t^2), the first part by power_integral;
+    the two parts differ by at most a factor 2 on [0, 1], so nothing cancels
+    as p -> -1 and p <= -1 works when lo > 0.
     hyp2f1 runs only strictly inside (0, 1): the primitive is 0 at t = 0, and
     its value at t = 1 is one scalar call shared by every end point there."""
     if p < 0.0:
-        head = _power_integral(p + 1.0, lo, hi)
+        head = power_integral(p + 1.0, lo, hi)
         return np.where(np.isinf(head), head, head - _unit_kernel(p + 2.0, lo, hi))
     e = p + 1.0
     t = np.stack((hi, lo))
@@ -279,9 +268,9 @@ def garnett_check(nu: LineMeasure):
 
     The Poisson integral is closed form on all heights at once: a piece
     c*|t|^p dt on [a, b) gives c*y^p*G_p(lo/y, hi/y) (substitute t = y*u) for
-    each of its parts [lo, hi] = [max(a, 0), max(b, 0)] and
-    [max(-b, 0), max(-a, 0)] on either side of t = 0, infinite ends
-    included."""
+    each range [lo, hi] of |t| on either side of t = 0 (LinePiece.halves),
+    infinite ends included.  The box masses are one box_mass call on the
+    same grid."""
     finite = nu.poisson_integrable()
     for t, _ in nu.atoms:
         if t == 0.0:
@@ -298,12 +287,10 @@ def garnett_check(nu: LineMeasure):
     for t, w in nu.atoms:
         val += w * y / (t * t + y * y)
     for pc in nu.pieces:
-        for lo, hi in ((max(pc.a, 0.0), max(pc.b, 0.0)), (max(-pc.b, 0.0), max(-pc.a, 0.0))):
+        for lo, hi in pc.halves():
             if lo < hi:
                 val += pc.c * y**pc.p * _kernel(pc.p, lo / y, hi / y)
-    psup = float(np.max(val))
-    bsup = max(nu.box_mass(L) / (2.0 * L) for L in GARNETT_GRID)
-    return psup, float(bsup)
+    return float(np.max(val)), float(np.max(nu.box_mass(y) / (2.0 * y)))
 
 
 def stability_ratio(

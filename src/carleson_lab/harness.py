@@ -27,8 +27,6 @@ class InequalityReport:
     max_ratio: float
     seed: int
     corpus_size: int
-    constant_reference: float | None = None
-    gaps: tuple = ()
 
     def to_dict(self) -> dict:
         return {
@@ -36,8 +34,6 @@ class InequalityReport:
             "max_ratio": self.max_ratio,
             "seed": self.seed,
             "corpus_size": self.corpus_size,
-            "constant_reference": self.constant_reference,
-            "gaps": list(self.gaps),
         }
 
 

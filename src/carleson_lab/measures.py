@@ -89,6 +89,11 @@ class LinePiece:
         if self.p <= -1 and self.a <= 0.0 <= self.b:
             raise ValueError("piece covering 0 needs p > -1 for local finiteness")
 
+    def halves(self) -> tuple:
+        """The ranges [lo, hi] of |t| over the parts of [a, b) on either side
+        of t = 0, each (0, 0) where the piece misses that side."""
+        return ((max(self.a, 0.0), max(self.b, 0.0)), (max(-self.b, 0.0), max(-self.a, 0.0)))
+
 
 _CF_EPS = np.finfo(float).eps  # convergence of a continued-fraction step to 1
 _CF_TINY = 1e-300  # modified Lentz replaces zero denominators by this
@@ -274,19 +279,15 @@ class VerticalMeasure(_Measure):
         if any(y <= 0 for y, _ in self.atoms):
             raise ValueError("atom height must be positive")
 
-    def cumulative(self, y: float) -> float:
-        """F_Pi(y) = Pi((0, y])."""
-        total = sum(w for yk, w in self.atoms if yk <= y)
+    def cumulative(self, y):
+        """F_Pi(y) = Pi((0, y]), elementwise over an array of y."""
+        y = np.asarray(y, dtype=float)
+        total = np.zeros(y.shape)
+        for yk, w in self.atoms:
+            total += np.where(yk <= y, w, 0.0)
         for pc in self.pieces:
-            b = min(pc.b, y)
-            if b <= pc.a:
-                continue
-            if pc.p == -1.0:
-                total += pc.c * (math.log(b) - math.log(pc.a))
-            else:
-                e = pc.p + 1.0
-                total += pc.c * (b**e - pc.a**e) / e
-        return total
+            total += pc.c * power_integral(pc.p + 1.0, pc.a, np.clip(y, pc.a, pc.b))
+        return float(total) if total.ndim == 0 else total
 
     def truncate(self, R: float, eps: float = 0.0) -> "VerticalMeasure":
         """Keep only the mass at heights in (eps, R): Pi_R(dy) = 1(eps<y<R) Pi(dy).
@@ -318,29 +319,37 @@ class LineMeasure(_Measure):
                 return False
         return True
 
-    def box_mass(self, L: float) -> float:
-        """nu([-L, L])."""
-        total = sum(w for t, w in self.atoms if abs(t) <= L)
+    def box_mass(self, L):
+        """nu([-L, L]), elementwise over an array of L."""
+        L = np.asarray(L, dtype=float)
+        total = np.zeros(L.shape)
+        for t, w in self.atoms:
+            total += np.where(abs(t) <= L, w, 0.0)
         for pc in self.pieces:
-            total += _line_piece_mass(pc, -L, L)
-        return total
+            for lo, hi in pc.halves():
+                total += pc.c * power_integral(pc.p + 1.0, np.minimum(lo, L), np.minimum(hi, L))
+        return float(total) if total.ndim == 0 else total
 
 
-def _line_piece_mass(pc: LinePiece, lo: float, hi: float) -> float:
-    """int of c|t|^p over [a,b) intersected with [lo, hi]."""
-    a, b = max(pc.a, lo), min(pc.b, hi)
-    if a >= b:
-        return 0.0
+def power_integral(e: float, lo, hi) -> np.ndarray:
+    """int_lo^hi t^(e-1) dt, elementwise, for 0 <= lo, hi <= inf: 0 where
+    hi <= lo, +inf where the integral diverges at 0 or at inf.
 
-    def prim(t):
-        # antiderivative of |t|^p, anchored at 0 (valid per sign half-line)
-        if t == 0.0:
-            return 0.0
-        if pc.p == -1.0:
-            return math.copysign(math.log(abs(t)), t)
-        return math.copysign(abs(t) ** (pc.p + 1.0) / (pc.p + 1.0), t)
-
-    return pc.c * (prim(b) - prim(a))
+    The larger of lo^e and hi^e is factored out, hi^e*(1 - (lo/hi)^e)/e for
+    e > 0 and lo^e*(1 - (hi/lo)^e)/(-e) for e < 0, the bracket taken as
+    -expm1(-|e|*log(hi/lo)); log(hi/lo) at e = 0.  So nothing cancels near
+    e = 0 (p = -1 for a density t^p), and nothing overflows unless the
+    integral does.  The package's one antiderivative of a power law:
+    cumulative, box_mass and halfplane's kernel G_p all use it."""
+    lo = np.abs(np.asarray(lo, dtype=float))  # lo = -0.0 would make log(hi/lo) nan
+    hi = np.asarray(hi, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log(hi / lo)
+        if e == 0.0:
+            out = log_ratio
+        else:
+            out = (hi if e > 0.0 else lo) ** e * -np.expm1(-abs(e) * log_ratio) / abs(e)
+    return np.where(hi > lo, out, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +440,13 @@ def log_moment_array(mu: RadialMeasure, n_max: int) -> np.ndarray:
 # Carleson criteria
 
 
+def _probe_grid(base: np.ndarray, cands: list, top: float) -> np.ndarray:
+    """The sorted union of a default probe grid and the candidate points
+    (atoms and piece ends) of a measure, cut to (0, top)."""
+    grid = np.unique(np.concatenate([base, cands]))
+    return grid[(grid > 0.0) & (grid < top)]
+
+
 def radial_carleson(mu: RadialMeasure, delta_grid: Sequence[float] | None = None):
     """(sup_ratio, is_carleson) for sup_delta sigma([1-delta,1))/delta.
 
@@ -441,11 +457,8 @@ def radial_carleson(mu: RadialMeasure, delta_grid: Sequence[float] | None = None
     """
     ok = all(pc.p >= 0 for pc in mu.pieces if pc.b >= 1.0)
     if delta_grid is None:
-        cands = [1.0 - r for r, _ in mu.atoms if r > 0.0]
-        cands += [1.0 - pc.a for pc in mu.pieces if pc.a > 0.0]
-        cands += [1.0 - pc.b for pc in mu.pieces if pc.b < 1.0]
-        grid = np.unique(np.concatenate([DELTA_GRID, np.array(cands)])) if cands else DELTA_GRID
-        grid = grid[(grid > 0.0) & (grid < 1.0)]
+        grid = _probe_grid(DELTA_GRID, [1.0 - r for r, _ in mu.atoms]
+                           + [1.0 - x for pc in mu.pieces for x in (pc.a, pc.b)], 1.0)
     else:
         grid = np.asarray(delta_grid, dtype=float)
         if grid.size == 0:
@@ -508,15 +521,11 @@ def vertical_carleson(pi: VerticalMeasure):
     with the atoms and the finite piece endpoints."""
     ok = all(pc.p >= 0 for pc in pi.pieces if pc.a == 0.0)
     ok = ok and all(pc.p <= 0 for pc in pi.pieces if math.isinf(pc.b))
-    cands = [y for y, _ in pi.atoms]
-    cands += [pc.a for pc in pi.pieces if pc.a > 0.0]
-    cands += [pc.b for pc in pi.pieces if not math.isinf(pc.b)]
-    grid = np.unique(np.concatenate([Y_GRID, np.array(cands)])) if cands else Y_GRID
-    grid = grid[grid > 0.0]
     if not ok:
         return INF, False
-    ratio = max(pi.cumulative(y) / y for y in grid)
-    return float(ratio), True
+    ends = [x for pc in pi.pieces for x in (pc.a, pc.b)]
+    grid = _probe_grid(Y_GRID, [y for y, _ in pi.atoms] + ends, INF)
+    return float(np.max(pi.cumulative(grid) / grid)), True
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,10 @@ def random_vertical_measure(rng: np.random.Generator) -> VerticalMeasure:
     for _ in range(n_pieces):
         a = float(rng.uniform(0.0, 2.0))
         b = float(rng.uniform(a + 0.1, 8.0))
-        p = float(rng.uniform(-0.9, 2.0)) if a > 0 or rng.random() < 0.5 else float(rng.uniform(0.0, 2.0))
-        if a == 0.0 and p <= -1.0:
-            p = 0.0
+        if rng.random() < 0.2:
+            a = 0.0
+        # p <= -1 only off the origin, where the mass stays locally finite
+        p = float(rng.uniform(-3.0, 2.0) if a > 0.0 else rng.uniform(-0.9, 2.0))
         pieces.append(VerticalPiece(a, b, float(rng.uniform(0.1, 2.0)), p))
     return VerticalMeasure(tuple(atoms), tuple(pieces))
 
@@ -88,12 +89,12 @@ def random_line_measure(rng: np.random.Generator) -> LineMeasure:
         a = float(rng.uniform(-5.0, 4.0))
         b = float(rng.uniform(a + 0.2, 6.0))
         p = float(rng.choice([-0.5, 0.0, 0.5, 1.0, 2.0]))
-        if a <= 0.0 <= b and p <= -1.0:
-            p = 0.0
         if rng.random() < 0.2:
             b = math.inf
         if rng.random() < 0.2:
             a = -math.inf
+        if not a <= 0.0 <= b and rng.random() < 0.5:
+            p = float(rng.uniform(-3.0, -1.0))  # p <= -1 only off the origin
         pieces.append(LinePiece(a, b, float(rng.uniform(0.1, 2.0)), p))
     return LineMeasure(tuple(atoms), tuple(pieces))
 

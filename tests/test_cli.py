@@ -6,6 +6,7 @@ import json
 import math
 import os
 
+import mpmath
 import pytest
 
 from carleson_lab import harness
@@ -17,8 +18,9 @@ from carleson_lab.cli import (
     main,
     resolve_measure,
 )
-from carleson_lab.halfplane import stability_constant, w_pi_sup
+from carleson_lab.halfplane import GARNETT_GRID, stability_constant, w_pi_sup
 from carleson_lab.measures import (
+    Y_GRID,
     LineMeasure,
     RadialMeasure,
     RadialPiece,
@@ -237,6 +239,31 @@ def test_garnett_command(tmp_path):
     doc = json.loads(text)
     assert doc["results"]["poisson_sup"] == "inf"
     assert doc["results"]["both_finite"] is False
+
+
+def _mp_power_mass(p, lo, hi):
+    """int_lo^hi t^p dt at 40 digits; 0 for an empty range."""
+    lo, hi, e = mpmath.mpf(lo), mpmath.mpf(hi), mpmath.mpf(p) + 1
+    if hi <= lo:
+        return mpmath.mpf(0)
+    return mpmath.log(hi / lo) if e == 0 else (hi**e - lo**e) / e
+
+
+@pytest.mark.parametrize("command, p, key", [("garnett", -1.5, "box_sup"),
+                                             ("garnett", -1.0, "box_sup"),
+                                             ("halfplane", -0.9999999999999, "carleson_sup_ratio")])
+def test_power_pieces_at_or_near_p_minus_one_match_mpmath(tmp_path, command, p, key):
+    # box masses of |t|^p dt on [0.5, 50) were negative (p < -1) or wrong
+    # wherever |t| < 1 (p = -1); y^p dy on [1, 2) cancelled as p -> -1
+    a, b = (0.5, 50.0) if command == "garnett" else (1.0, 2.0)
+    code, text = run_cli(tmp_path, command, "--measure", f"power:p={p},a={a},b={b}")
+    assert code == EXIT_OK
+    with mpmath.workdps(40):
+        if command == "garnett":
+            want = max(_mp_power_mass(p, a, min(L, b)) / (2 * L) for L in GARNETT_GRID)
+        else:
+            want = max(_mp_power_mass(p, a, min(y, b)) / y for y in [*Y_GRID, a, b])
+    assert json.loads(text)["results"][key] == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
 
 def test_measure_file_round_trip(tmp_path):

@@ -2,8 +2,9 @@
 `cli.main`, compared with the reports recorded in tests/golden/.
 
 Strings, ints and bools must match exactly; floats within 1e-12 relative.
-Regenerate the recorded reports (only when an output change is intended)
-with `PYTHONPATH=src python tests/test_golden.py`.
+Re-record reports only when an output change is intended:
+`PYTHONPATH=src python tests/test_golden.py NAME ...` rewrites the named
+cases (keys of CASES), and with no name every case.
 """
 
 import contextlib
@@ -105,7 +106,9 @@ def test_golden_output(name):
 
 
 if __name__ == "__main__":
-    for case in CASES:
+    unknown = sorted(set(sys.argv[1:]) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden case {unknown[0]!r}; known: {', '.join(CASES)}")
+    for case in sys.argv[1:] or CASES:
         with open(golden_path(case), "w") as out:
             out.write(run_case(case))
-    sys.exit(0)

@@ -116,6 +116,16 @@ def test_carleson_verdict_ignores_interior_mass():
         assert radial_carleson(inner)[1] == verdict
 
 
+def test_vertical_and_line_masses_nonnegative_nondecreasing():
+    grid = np.logspace(-3, 2, 51)
+    for i in range(N_CASES):
+        rng = rng_for(51000 + i)
+        for mass in (random_vertical_measure(rng).cumulative(grid),
+                     random_line_measure(rng).box_mass(grid)):
+            assert np.all(mass >= 0.0)
+            assert np.all(np.diff(mass) >= 0.0)
+
+
 # ---------------------------------------------------------------------------
 # fourier
 

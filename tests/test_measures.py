@@ -362,6 +362,20 @@ def test_vertical_carleson():
     assert not ok and math.isinf(ratio)
 
 
+# exponents at and around p = -1, below it, and large enough that a factor
+# lo^(p+1) * expm1(...) would overflow on [1e-3, 10)
+EDGE_POWERS = [-1.0 - 1e-9, -1.0, -1.0 + 1e-13, -1.5, 99.0, 150.0]
+
+
+def power_mass_ref(c, p, lo, hi) -> float:
+    """int_lo^hi c*t^p dt for 0 < lo <= hi, a 50-digit mpmath closed form."""
+    if hi <= lo:
+        return 0.0
+    with mpmath.workdps(50):
+        lo, hi, e = mpmath.mpf(lo), mpmath.mpf(hi), mpmath.mpf(p) + 1
+        return float(c * (mpmath.log(hi / lo) if e == 0 else (hi**e - lo**e) / e))
+
+
 def test_vertical_cumulative_and_truncate():
     pi = lebesgue_halfplane()
     assert pi.cumulative(3.0) == pytest.approx(3.0)
@@ -369,6 +383,21 @@ def test_vertical_cumulative_and_truncate():
     assert tr.cumulative(10.0) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         atom_halfplane(5.0).truncate(1.0)
+    ys = np.array([1e-3, 0.3, 0.7, 1.0, 2.5, 10.0, 20.0])
+    # pieces off the origin with both ends below 1, across 1 and above 1
+    for p, (a, b) in itertools.product(EDGE_POWERS, [(1e-3, 10.0), (0.2, 0.8), (0.5, 3.0), (1.5, 4.0)]):
+        pi = VerticalMeasure(atoms=((0.7, 0.25),), pieces=(VerticalPiece(a, b, 1.3, p),))
+        got = pi.cumulative(ys)
+        want = np.array([0.25 * (y >= 0.7) + power_mass_ref(1.3, p, a, min(max(y, a), b)) for y in ys])
+        assert np.all(np.abs(got - want) <= 1e-12 * want), (p, a, b)
+        assert np.array_equal(got, [pi.cumulative(float(y)) for y in ys])
+    assert isinstance(pi.cumulative(2.0), float)
+    # a piece end at a signed zero, as "power:a=-0" gives
+    assert VerticalMeasure(pieces=(VerticalPiece(-0.0, 2.0, 1.0, 0.0),)).cumulative(1.5) == 1.5
+    # y^p dy on [1e-3, 10) stays finite at large p
+    for p in (99.0, 150.0):
+        mass = VerticalMeasure(pieces=(VerticalPiece(1e-3, 10.0, 1.0, p),)).cumulative(10.0)
+        assert mass == pytest.approx(power_mass_ref(1.0, p, 1e-3, 10.0), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +459,20 @@ def test_line_measure_box_mass():
     assert nu2.box_mass(1.0) == pytest.approx(4.0, rel=1e-12)
     nu3 = LineMeasure(pieces=(LinePiece(1.0, 2.0, 1.0, -1.0),))
     assert nu3.box_mass(5.0) == pytest.approx(math.log(2.0), rel=1e-12)
+    Ls = np.array([0.1, 0.3, 0.5, 1.0, 2.0, 3.0, 7.5, 20.0])
+    # pieces off the origin on either side of t = 0, finite and infinite ends
+    ranges = [(0.5, 5.0), (-5.0, -0.5), (-0.8, -0.2), (1.5, INF), (-INF, -2.0)]
+    for p, (a, b) in itertools.product(EDGE_POWERS, ranges):
+        nu = LineMeasure(atoms=((-1.0, 0.25),), pieces=(LinePiece(a, b, 1.3, p),))
+        got = nu.box_mass(Ls)
+        want = np.array([0.25 * (L >= 1.0) + power_mass_ref(1.3, p, max(a, 0.0), min(b, L))
+                         + power_mass_ref(1.3, p, max(-b, 0.0), min(-a, L)) for L in Ls])
+        assert np.all(np.abs(got - want) <= 1e-12 * want), (p, a, b)
+        assert np.array_equal(got, [nu.box_mass(float(L)) for L in Ls])
+    assert isinstance(nu.box_mass(2.0), float)
+    # piece ends at 0 give |t| ranges that start at -0.0
+    halves = LineMeasure(pieces=(LinePiece(-INF, 0.0, 1.0, 0.0), LinePiece(0.0, INF, 1.0, 0.0)))
+    assert halves.box_mass(1.5) == 3.0
 
 
 def test_line_poisson_integrable():
