@@ -207,8 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> int:
-    if args.seed < 0 or args.n_max < 0 or args.grid < 1 or args.tol <= 0 or args.count < 1:
-        raise InputError("seed/n_max/grid/count must be nonnegative and tol positive")
+    if (args.seed < 0 or args.n_max < 0 or args.grid < 1 or args.tol <= 0 or args.count < 1
+            or args.max_iters < 1):
+        raise InputError("seed/n_max/grid/count must be nonnegative, tol positive "
+                         "and max_iters at least 1")
     results, exit_code = args.entry.run(resolve_measure(args.measure, args.entry.kind), args)
     # read after the command ran: a command writes back a parameter it changed
     params = {"seed": args.seed, "n_max": args.n_max, "grid": args.grid, "tol": args.tol,

@@ -33,13 +33,21 @@ balancing settles on a rho that serves the primal iterate, while a rho
 alone, slows the primal 7-25 times on other problems).  So the iterates
 are the rows of (rows, M) arrays run in lockstep, sharing every FFT and
 the z-step, with one secular-equation solve per row.  Row 0 is the
-balanced iteration above.  A solve still open after _JOIN_AFTER
-iterations gains one row per entry s of _JOIN_SCALES: a copy of row 0 at
-rho/s, with y times s and lam over s as balancing rescales them, whose
-rho then stays fixed.  Each check takes the best bound of any row.  Row 0
-runs exactly the arithmetic it would run alone, so the interval after N
-iterations is never wider than row 0 alone would give, and a solve that
-ends within _JOIN_AFTER iterations never has more than one row.
+balanced iteration above.  A join adds one row per entry s of
+_JOIN_SCALES: a fresh copy of row 0 at rho/s, with y times s and lam over
+s as balancing rescales them, whose rho then stays fixed.  Rows join at
+the first check where row 0's swapped candidate scores a higher lower
+bound than psi itself, the sign that its dual iterate lags its primal
+one; both scores are taken at every check anyway.  If the solve is still
+open _EARLY_CHECKS checks later, those rows leave and row 0 runs on
+alone.  A solve still open after _JOIN_AFTER iterations gains fresh rows
+again, copied from row 0, which then stay; from there on it runs as it
+would without the early rows.  Each check takes the best bound of any
+row.  Row 0 runs exactly the arithmetic it would run alone, so the
+interval after N iterations is never wider than row 0 alone would give:
+no solve takes more iterations than row 0 alone would, and a solve
+without the lag signal that ends within _JOIN_AFTER iterations has one
+row throughout.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ _RELAX = 1.6  # ADMM over-relaxation factor
 _CHECK_EVERY = 25  # iterations between certificate checks
 _JOIN_AFTER = 1000  # iterations before the small-penalty rows join
 _JOIN_SCALES = (8.0, 64.0)  # they run at rho/8 and rho/64 of row 0 then (powers of 2)
+_EARLY_CHECKS = 2  # checks that rows joining on the lag signal stay
 
 
 @dataclass(frozen=True)
@@ -157,6 +166,8 @@ def sum_norm(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     n_max = u.n_max
     if m is None:
         m = 1 << max(3, int(math.ceil(math.log2(max(4 * n_max, 8)))))
@@ -216,6 +227,7 @@ def sum_norm(
     best_psi = np.zeros(m, dtype=complex)
     converged = False
     it = 0
+    leave_at = 0  # when the lag-triggered rows leave: 0 before they join, -1 after _JOIN_AFTER
 
     inv_d2 = np.divide(1.0, d2, out=np.zeros_like(d2), where=d2 > 0.0)
     # one ADMM iteration per row, all rows in lockstep; row 0 balances its
@@ -265,11 +277,15 @@ def sum_norm(
                 cands = [(psi[k], psi_hat[k])]
                 if nf[k] > 0.0:
                     cands.append((swapped[k], swapped_hat[k]))
+                lows = []
                 for cand, hat in cands:
                     lower, scale = score(cand, hat)
+                    lows.append(lower)
                     if lower > best_lower:
                         best_lower = lower
                         best_psi = cand / scale
+                if k == 0:  # row 0's dual iterate lags when its swap scores higher
+                    lag = lows[-1] > lows[0]
             if best_upper - best_lower <= tol * max(best_upper, 1e-300):
                 converged = True
                 break
@@ -283,16 +299,22 @@ def sum_norm(
                 rho[0], lam[0] = step * rho[0], step * lam[0]
                 y[0] /= step
                 mrho[0] = m * rho[0]
-            if it == _JOIN_AFTER:
+            if it == _JOIN_AFTER or (lag and not leave_at):
                 # the small-penalty rows start from row 0's state, rescaled
-                # as the balancing above rescales it (exactly, by powers of 2)
-                rho += [rho[0] / s for s in _JOIN_SCALES]
-                lam += [lam[0] / s for s in _JOIN_SCALES]
-                mrho = np.concatenate([mrho] + [mrho / s for s in _JOIN_SCALES])
-                y = np.concatenate([y] + [s * y for s in _JOIN_SCALES])
-                e = np.repeat(e, len(rho), axis=0)
-                ug = np.repeat(ug, len(rho), axis=0)
+                # as the balancing above rescales it (exactly, by powers of 2);
+                # rows that join on the lag signal leave _EARLY_CHECKS checks
+                # later, and those joining at _JOIN_AFTER replace them and stay
+                leave_at = it + _EARLY_CHECKS * _CHECK_EVERY if it < _JOIN_AFTER else -1
+                rho = rho[:1] + [rho[0] / s for s in _JOIN_SCALES]
+                lam = lam[:1] + [lam[0] / s for s in _JOIN_SCALES]
+                mrho = np.concatenate([mrho[:1]] + [mrho[:1] / s for s in _JOIN_SCALES])
+                y = np.concatenate([y[:1]] + [s * y[:1] for s in _JOIN_SCALES])
+                e = np.repeat(e[:1], len(rho), axis=0)
+                ug = np.repeat(ug[:1], len(rho), axis=0)
                 f = np.empty((len(rho), 2 * n_max + 1), dtype=complex)
+            if it == leave_at:  # row 0 runs on alone
+                rho, lam = rho[:1], lam[:1]
+                mrho, y, e, ug, f = mrho[:1], y[:1], e[:1], ug[:1], f[:1]
 
     # at an exact optimum the two bounds can cross by rounding; a lower
     # bound below the certified one stays valid

@@ -299,6 +299,16 @@ def test_bad_params_exit_code(capsys):
     assert main(["moments", "--seed", "-1"]) == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("command", ["sumnorm", "bbb", "moments"])
+def test_max_iters_below_one_exit_code(capsys, command):
+    # iterations: 0 reads as a certified split, so no command takes a cap
+    # that would let a solve stop before its first iteration
+    for value in ("0", "-3"):
+        argv = [command, "--n-max", "4", "--count", "1", "--max-iters", value]
+        assert main(argv) == EXIT_BAD_INPUT
+        assert "max_iters" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

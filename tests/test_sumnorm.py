@@ -14,7 +14,7 @@ from scipy.optimize import minimize
 from carleson_lab import sumnorm
 from carleson_lab.fourier import CoeffVector, GridFunction, adapted_pair, multiplier, synthesize
 from carleson_lab.harness import random_poly
-from carleson_lab.measures import RadialMeasure, atom_disk, moment_array, power_disk
+from carleson_lab.measures import RadialMeasure, atom_disk, lebesgue_disk, moment_array, power_disk
 from carleson_lab.norms import hmu_norm, l1_norm, l2_norm
 from carleson_lab.sumnorm import dual_bound, dual_hmu, sum_norm
 
@@ -160,16 +160,20 @@ def recheck(u, mu, tol, cert):
     assert cert.witness.residual < 1e-10
 
 
-def test_atom_09_cli_shape_converges():
+def test_atom_09_cli_shape_converges(monkeypatch):
     # atom r = 0.9 at the CLI defaults: the balanced row alone stops short of
     # tol at 40 000 iterations here; with the small-penalty rows a few
-    # thousand certify it
+    # thousand certify it.  The lag signal fires on these inputs too, and its
+    # window must cost no iterations against the same solve without it
     mu = atom_disk(0.9)
     for seed in (1, 2, 3):
         u = random_poly(seed, 3000, 128)
         cert = sum_norm(u, mu, m=512, tol=1e-5, max_iters=40_000)
         assert sumnorm._JOIN_AFTER < cert.iterations <= 40_000
         recheck(u, mu, 1e-5, cert)
+        with monkeypatch.context() as mp:
+            mp.setattr(sumnorm, "_EARLY_CHECKS", 0)  # lag-triggered rows leave as they join
+            assert cert.iterations <= sum_norm(u, mu, m=512, tol=1e-5, max_iters=40_000).iterations
 
 
 def test_scipy_oracle_brackets_multi_row_certificate():
@@ -285,16 +289,41 @@ def test_uncertified_seed_still_iterates(lebesgue):
     recheck(u, lebesgue, 1e-4, cert)
 
 
-def test_truncated_singular_weight_converges_fast():
-    # both adapted-pair vectors of one (1-r)^{-1/2} dr on [0, 0.9) sample at the
-    # criterion-5 settings; ADMM needs a few hundred iterations here
-    mu = RadialMeasure(pieces=((0.0, 0.9, 1.0, -0.5, 0.0),))
+def adapted_vectors(mu: RadialMeasure) -> list[CoeffVector]:
+    """Both adapted-pair vectors of corpus samples 0-3 at seed 42 and n_max
+    64, as corpus_scan builds them."""
     pair = adapted_pair(mu, 64)
-    u = random_poly(42, 0, 64)
-    v = multiplier(CoeffVector(64, u.coeffs / l2_norm(u)), pair.a)
-    for x in (v, multiplier(v, pair.b)):
-        cert = sum_norm(x, mu, m=512, tol=1e-3, max_iters=2000)
-        assert cert.converged
+    out = []
+    for i in range(4):
+        u = random_poly(42, i, 64)
+        v = multiplier(CoeffVector(64, u.coeffs / l2_norm(u)), pair.a)
+        out += [v, multiplier(v, pair.b)]
+    return out
+
+
+def test_truncated_singular_weight_converges_fast():
+    # the criterion-5 settings on (1-r)^{-1/2} dr on [0, 0.9) and atom r = 0.9,
+    # where row 0's dual iterate lags: alone it takes 225-375 and 100-175
+    # iterations, and the rows that join on the lag signal certify within 75
+    for mu in (RadialMeasure(pieces=((0.0, 0.9, 1.0, -0.5, 0.0),)), atom_disk(0.9)):
+        for x in adapted_vectors(mu):
+            cert = sum_norm(x, mu, m=512, tol=1e-3)
+            assert cert.iterations <= 75
+            recheck(x, mu, 1e-3, cert)
+
+
+def test_lag_window_leaves_other_solves_bit_identical(monkeypatch):
+    # on Lebesgue and (1-r) dr vectors of the same shape the lag signal never
+    # fires, so switching the window off changes no certificate bit
+    cases = [(x, mu) for mu in (lebesgue_disk(), power_disk(1.0)) for x in adapted_vectors(mu)]
+
+    def certs():
+        return [(c.upper, c.lower, c.iterations)
+                for c in (sum_norm(x, mu, m=512, tol=1e-3) for x, mu in cases)]
+
+    with_window = certs()
+    monkeypatch.setattr(sumnorm, "_EARLY_CHECKS", 0)  # lag-triggered rows leave as they join
+    assert certs() == with_window
 
 
 def test_zero_moments_free_modes():
@@ -370,6 +399,8 @@ def test_input_validation(lebesgue):
         sum_norm(u, lebesgue, tol=0.0)
     with pytest.raises(ValueError):
         sum_norm(u, lebesgue, m=4)
+    with pytest.raises(ValueError):
+        sum_norm(u, lebesgue, max_iters=0)
 
 
 def test_to_dict(lebesgue):
