@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.special import hyp2f1, sici
 
 from .measures import (
     INF,
     TWO,
     LineMeasure,
     VerticalMeasure,
+    _lentz,
     laplace_transform,
     power_integral,
     vertical_carleson,
@@ -123,42 +123,75 @@ class SpatialFunction:
 # the bounded weight W built from the conjugate Poisson kernel
 
 
-def _unit_kernel(p: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """int_lo^hi t^p/(1+t^2) dt for 0 <= lo <= hi <= 1.
-
-    For p >= 0 the primitive t^(p+1)/(p+1) * 2F1(1, (p+1)/2; (p+3)/2; -t^2),
-    arctan(t) at p = 0 and log1p(t^2)/2 at p = 1; for p < 0 the identity
-    t^p/(1+t^2) = t^p - t^(p+2)/(1+t^2), the first part by power_integral;
-    the two parts differ by at most a factor 2 on [0, 1], so nothing cancels
-    as p -> -1 and p <= -1 works when lo > 0.
-    hyp2f1 runs only strictly inside (0, 1): the primitive is 0 at t = 0, and
-    its value at t = 1 is one scalar call shared by every end point there."""
-    if p < 0.0:
-        head = power_integral(p + 1.0, lo, hi)
-        return np.where(np.isinf(head), head, head - _unit_kernel(p + 2.0, lo, hi))
-    e = p + 1.0
-    t = np.stack((hi, lo))
-    at_one = t == 1.0
-    inner = ~at_one & (t != 0.0)
-    ti = t[inner]
-    prim = np.zeros(t.shape)
-    prim[at_one] = 1.0 / e * hyp2f1(1.0, 0.5 * e, 0.5 * e + 1.0, -1.0)
-    prim[inner] = ti**e / e * hyp2f1(1.0, 0.5 * e, 0.5 * e + 1.0, -ti * ti)
-    return prim[0] - prim[1]
+def _cvz_weights(n: int) -> np.ndarray:
+    """Weights w_k with sum_k (-1)^k a_k ~ sum_{k<n} w_k a_k to a relative
+    2/(3+sqrt 8)^n whenever a_k is the k-th moment of a positive measure on
+    [0, 1]: Algorithm 1 of Cohen, Rodriguez Villegas & Zagier (Experiment.
+    Math. 9, 2000)."""
+    d = 0.5 * ((3.0 + math.sqrt(8.0)) ** n + (3.0 + math.sqrt(8.0)) ** -n)
+    b, c, out = -1.0, -d, []
+    for k in range(n):
+        c = b - c
+        out.append(c / d)
+        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
+    return np.array(out)
 
 
-def _kernel(p: float, lo, hi) -> np.ndarray:
-    """G_p(lo, hi) = int_lo^hi t^p/(1+t^2) dt, vectorised over 0 <= lo <= hi <= inf.
+_PRIMITIVE_TERMS = 22  # 2/(3+sqrt 8)^22 < 3e-17
+_PRIMITIVE_WEIGHTS = _cvz_weights(_PRIMITIVE_TERMS)
+_PRIMITIVE_K2 = 2.0 * np.arange(_PRIMITIVE_TERMS)
 
-    The part above t = 1 maps to int u^(-p)/(1+u^2) du over [1/hi, 1/lo] by
-    t = 1/u, so both parts are integrals over [0, 1] (_unit_kernel) and the
-    result keeps full relative accuracy when lo and hi are both tiny or both
-    huge; G_p(0, inf) = pi/(2 cos(pi p/2)) for -1 < p < 1, +inf otherwise."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        below = _unit_kernel(p, np.minimum(lo, 1.0), np.minimum(hi, 1.0))
-        above = _unit_kernel(-p, 1.0 / np.maximum(hi, 1.0), 1.0 / np.maximum(lo, 1.0))
-    return below + above
+
+def _primitive_sum(e, t: np.ndarray) -> np.ndarray:
+    """t^-e int_0^t u^(e-1)/(1+u^2) du = sum_k (-1)^k t^(2k)/(e+2k) over a 1-d
+    array of 0 <= t <= 1, for a float e > 0 or a column of them (rows of the
+    result): the terms are moments of a positive measure on [0, t^2], so
+    _cvz_weights sum it in _PRIMITIVE_TERMS terms, their powers by doubling."""
+    powers = np.empty((_PRIMITIVE_TERMS,) + t.shape)  # t^0 .. t^(2*_PRIMITIVE_TERMS-2)
+    powers[0], powers[1] = 1.0, t * t
+    for j in (1, 2, 4, 8, 16):  # rows j+1 .. 2j are rows 1 .. j times t^(2j)
+        np.multiply(powers[1:min(j, _PRIMITIVE_TERMS - 1 - j) + 1], powers[j], powers[j + 1:2 * j + 1])
+    return _PRIMITIVE_WEIGHTS / (e + _PRIMITIVE_K2) @ powers
+
+
+def _kernel(p: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """G_p(lo, hi) = int_lo^hi t^p/(1+t^2) dt over 1-d arrays 0 <= lo <= hi <= inf.
+
+    The part above t = 1 maps to int u^(-p)/(1+u^2) du over [1/hi, 1/lo]
+    (t = 1/u), so both parts lie in [0, 1] and keep full relative accuracy
+    when lo and hi are both tiny or both huge.  At p = 0 each part is one
+    arctangent.  A part of order q < 0 is lifted by t^q/(1+t^2) = t^q -
+    t^(q+2)/(1+t^2), the power by power_integral (+inf where it diverges at
+    0): the two terms differ by at most a factor 2 on [0, 1], so nothing
+    cancels as q -> -1.  At order q >= 0 the primitive t^e _primitive_sum(e,
+    t), e = q+1, vanishes at 0; one call takes both parts' ends inside (0, 1)
+    and t = 1 for each part, first and last.  G_p(0, inf) = pi/(2 cos(pi
+    p/2)) for -1 < p < 1, +inf otherwise."""
+    # rows: the hi and lo ends of the part below t = 1, then of the part above
+    t = np.array((hi, lo, lo, hi))
+    np.minimum(t[:2], 1.0, out=t[:2])
+    np.divide(1.0, np.maximum(t[2:], 1.0, out=t[2:]), t[2:])
+    if p == 0.0:
+        return np.arctan2(t[0] - t[1], 1.0 + t[0] * t[1]) + np.arctan2(t[2] - t[3], 1.0 + t[2] * t[3])
+    heads, es = ([], []), []
+    for q, th, tl, hs in ((p, t[0], t[1], heads[0]), (-p, t[2], t[3], heads[1])):
+        while q < 0.0:
+            hs.append(power_integral(q + 1.0, tl, th))
+            q += 2.0
+        es.append(q + 1.0)
+    inner = (t > 0.0) & (t < 1.0)
+    ti = np.concatenate(((1.0,), t[inner], (1.0,)))
+    cut = 1 + np.count_nonzero(inner[:2])
+    f = _primitive_sum(np.array([[es[0]], [es[1]]]), ti)
+    vals = np.concatenate((ti[:cut] ** es[0] * f[0, :cut], ti[cut:] ** es[1] * f[1, cut:]))
+    prim = (t == 1.0) * vals[[0, 0, -1, -1], None]
+    prim[inner] = vals[1:-1]
+    out = 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf where two lifts diverge at 0; the where keeps inf
+        for q, hs, g in zip((p, -p), heads, (prim[0] - prim[1], prim[2] - prim[3])):
+            g = reduce(lambda acc, h: h - acc, reversed(hs), g)
+            out = out + (np.where(np.isinf(hs[0]), hs[0], g) if q <= -1.0 else g)
+    return out
 
 
 def _conj_poisson(pi: VerticalMeasure, x) -> np.ndarray:
@@ -243,11 +276,30 @@ def w_pi_truncated_fourier_check(
     v = _conj_poisson(trunc, xs)
     abs_xi = np.abs(xi_test)
     main = 2.0 * (np.sin(2.0 * math.pi * xs * abs_xi[:, None]) @ (v * simpson))
-    si, _ = sici(2.0 * math.pi * abs_xi * _X_MAX)
+    si = _sine_integral(2.0 * math.pi * abs_xi * _X_MAX)
     tail = (2.0 * trunc.cumulative(big_r) / math.pi) * (math.pi / 2.0 - si)
     # numeric and exact share the factor sgn(xi), which the relative error drops
     exact = laplace_transform(trunc, abs_xi, TWO)
     return float(np.max(np.abs(main + tail - exact) / np.abs(exact)))
+
+
+def _sine_integral(x: np.ndarray) -> np.ndarray:
+    """Si(x) = int_0^x sin(t)/t dt, elementwise for x >= 0.  Below x = 2 its
+    power series (DLMF 6.6.5); from there on pi/2 - f cos(x) - g sin(x) with
+    the auxiliary functions of DLMF 6.2.17-18, f + i g = i e^(ix) E_1(ix),
+    E_1(ix) = e^(-ix)/(1+ix - 1/(3+ix - 4/(5+ix - ...))) (DLMF 6.9) by _lentz."""
+    out = np.empty(x.shape)
+    small = x < 2.0
+    if small.any():
+        xs = x[small]
+        k = np.arange(1.0, 15.0)
+        powers = np.cumprod(-(xs * xs)[:, None] / ((2.0 * k) * (2.0 * k + 1.0)), axis=1)  # (-x^2)^k/(2k+1)!
+        out[small] = xs * (1.0 + (powers / (2.0 * k + 1.0)).sum(axis=1))
+    if not small.all():
+        xm = x[~small]
+        fg = 1j / _lentz(1.0 + 1j * xm, lambda i: (-float(i * i), 1.0 + 2.0 * i + 1j * xm))
+        out[~small] = 0.5 * math.pi - fg.real * np.cos(xm) - fg.imag * np.sin(xm)
+    return out
 
 
 # ---------------------------------------------------------------------------

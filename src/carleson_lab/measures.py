@@ -3,16 +3,16 @@ and line measures on the real axis.
 
 Every measure is a finite list of atoms plus piecewise power-law
 densities, so moments, tail masses and Laplace transforms have closed
-forms (incomplete beta / gamma).  Where scipy's regularized incomplete
-beta underflows, a log-domain continued fraction (DLMF 8.17.22) takes
-over, so moments and tail masses far below the double-precision floor keep
-their relative accuracy.  A tail of a piece reaching r = 1 is taken as
-B_delta(p+1, q+1) in delta itself.  A Laplace transform of a piece with
-p <= -1 is a difference of upper incomplete gammas of negative order,
-lifted to positive order by the recurrence of DLMF 8.8.2.  The singular
-integral is closed form for atoms and a fixed composite Gauss(-Jacobi)
-rule for pieces; that rule's panel layout is shared with
-norms.poisson_sup.  No adaptive quadrature runs anywhere in the package.
+forms (incomplete beta / gamma), all in numpy and math.  Moments run a
+stable downward recurrence from one log-domain continued fraction
+(DLMF 8.17.22), so moments far below the double-precision floor keep their
+relative accuracy.  A tail of a piece reaching r = 1 is taken in delta
+itself.  A Laplace transform of a piece with p <= -1 is a difference of
+upper incomplete gammas of negative order, lifted to positive order by the
+recurrence of DLMF 8.8.2.  The singular integral is closed form for atoms
+and a fixed composite Gauss(-Jacobi) rule for pieces; that rule's panel
+layout is shared with norms.poisson_sup.  No adaptive quadrature runs
+anywhere in the package.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import (betainc, betaln, exp1, gamma, gammainc, gammaincc, gammaln,
-                           logsumexp, roots_jacobi)
 
 INF = float("inf")
 
@@ -96,48 +94,43 @@ class LinePiece:
 
 
 _CF_EPS = np.finfo(float).eps  # convergence of a continued-fraction step to 1
-_CF_TINY = 1e-300  # modified Lentz replaces zero denominators by this
-# cap on terms: _log_inc_beta needed under 100 up to a = 1e8, _upper_gamma under 100 at x = 1
+# cap on terms: the beta fraction needed under 100 up to a = 1e8, the gamma one under 100 at x = 1
 _CF_MAX_TERMS = 1000
 
 
-def _log_inc_beta(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """log B_x(a, b) = log int_0^x t^(a-1) (1-t)^(b-1) dt, elementwise, for
-    0 <= x <= (a+1)/(a+b+2), where the continued fraction of DLMF 8.17.22,
+def _lentz(b0, terms):
+    """b0 + a_1/(b_1 + a_2/(b_2 + ...)) by the modified Lentz method, (a_k, b_k)
+    = terms(k), on floats or arrays until every step is 1 to machine
+    precision: the package's one continued-fraction routine.  No denominator
+    of its fractions vanishes in the ranges they serve, so none is guarded."""
+    f = c = b0
+    d = 0.0
+    for k in range(1, _CF_MAX_TERMS):
+        a, b = terms(k)
+        d = 1.0 / (b + a * d)
+        c = b + a / c
+        step = c * d
+        f = f * step
+        err = abs(step - 1.0)
+        if (err.max(initial=0.0) if isinstance(err, np.ndarray) else err) <= _CF_EPS:
+            break
+    return f
 
-        B_x(a, b) = x^a (1-x)^b / a * 1/(1+ d_1/(1+ d_2/(1+ ...))),
 
-    converges fast.  Evaluated by modified Lentz in the log domain, so values
-    far below the double-precision floor keep their relative accuracy;
-    converged entries leave the working arrays."""
+def _log_inc_beta(x, a, b):
+    """log B_x(a, b) = log int_0^x t^(a-1) (1-t)^(b-1) dt, on floats or
+    elementwise, for 0 <= x <= (a+1)/(a+b+2), where the continued fraction
+    of DLMF 8.17.22, B_x(a, b) = x^a (1-x)^b / a * 1/(1+ d_1/(1+ d_2/(1+ ...))),
+    converges fast; in the log domain, so values below the double-precision
+    floor keep their relative accuracy."""
+    def terms(j):  # d_j: d_{2k+1} for odd j, d_{2k} for even j
+        k = j // 2
+        if j % 2:
+            return -(a + k) * (a + b + k) * x / ((a + 2 * k) * (a + 2 * k + 1.0)), 1.0
+        return k * (b - k) * x / ((a + 2 * k - 1.0) * (a + 2 * k)), 1.0
+
     with np.errstate(divide="ignore"):
-        log_pref = a * np.log(x) + b * np.log1p(-x) - np.log(a)
-    cf = np.empty(x.shape)
-    idx = np.arange(x.size)
-    x, a, b = x.ravel(), a.ravel(), b.ravel()
-
-    def nonzero(v):
-        return np.where(np.abs(v) < _CF_TINY, _CF_TINY, v)
-
-    c = np.ones(x.size)
-    d = 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
-    h = d.copy()
-    k = 0
-    while idx.size:
-        k += 1
-        # d_{2k}, then d_{2k+1}
-        for num in (k * (b - k) * x / ((a + 2 * k - 1.0) * (a + 2 * k)),
-                    -(a + k) * (a + b + k) * x / ((a + 2 * k) * (a + 2 * k + 1.0))):
-            d = 1.0 / nonzero(1.0 + num * d)
-            c = nonzero(1.0 + num / c)
-            step = d * c
-            h = h * step
-        done = (np.abs(step - 1.0) <= _CF_EPS) | (k >= _CF_MAX_TERMS)
-        if done.any():
-            cf.flat[idx[done]] = h[done]
-            keep = ~done
-            idx, x, a, b, c, d, h = (v[keep] for v in (idx, x, a, b, c, d, h))
-    return log_pref + np.log(cf)
+        return a * np.log(x) + b * np.log1p(-x) - np.log(a) - np.log(_lentz(1.0, terms))
 
 
 def _log_sub(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -149,7 +142,7 @@ def _log_sub(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _log_beta_segment(m, p, a, b) -> np.ndarray:
     """log of int_a^b r^m (1-r)^p dr, elementwise, for 0 <= a <= b <= 1 and
-    m, p > -1, with no betainc and no quadrature.
+    m, p > -1, with no quadrature.
 
     The segment is split at s = (m+2)/(m+p+4), the point below which the
     continued fraction of _log_inc_beta converges fast for B(m+1, p+1) and
@@ -157,7 +150,7 @@ def _log_beta_segment(m, p, a, b) -> np.ndarray:
     below s is B_min(b,s) - B_a, the part above is the difference of the
     mirrored lower tails at 1 - max(a, s) and 1 - b.  Each part is a
     difference of two tails of which the larger is nearer s, so no full
-    beta function (whose betaln loses up to 1e-13 at large m) enters."""
+    beta function (whose log Gamma terms lose up to 1e-13 at large m) enters."""
     m, p, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (m, p, a, b)))
     al, be = m + 1.0, p + 1.0
     s = (al + 1.0) / (al + be + 2.0)
@@ -170,16 +163,55 @@ def _log_beta_segment(m, p, a, b) -> np.ndarray:
     return np.logaddexp(_log_sub(logs[0], logs[1]), _log_sub(logs[2], logs[3]))
 
 
-def _log_segment(m, p, a, b) -> np.ndarray:
-    """log of int_a^b r^m (1-r)^p dr, elementwise: scipy's betainc difference
-    where it is representable (above 1e-280), else _log_beta_segment."""
-    full = betaln(m + 1.0, p + 1.0)
-    d = betainc(m + 1.0, p + 1.0, b) - betainc(m + 1.0, p + 1.0, a)
-    out = np.where(d > 1e-280, full + np.log(np.maximum(d, 1e-300)), -INF)
-    bad = d <= 1e-280
-    if bad.any():
-        out[bad] = _log_beta_segment(*(np.broadcast_to(v, d.shape)[bad] for v in (m, p, a, b)))
-    return out
+def _log_full_moments(q: float, p: float, n_max: int) -> np.ndarray:
+    """[log B(q+2n+1, p+1) for n = 0..n_max]: math.gamma at n = 0 (exact at small
+    integers, where math.lgamma is a few ulps off), then the ratios (1 -
+    (p+1)/(m+p+2))(1 - (p+1)/(m+p+3)) summed in logs: no large log Gamma cancels."""
+    e = p + 1.0
+    m = q + 2.0 * np.arange(n_max)
+    steps = np.log1p(-e / (m + e + 1.0)) + np.log1p(-e / (m + e + 2.0))
+    base = (math.log(math.gamma(q + 1.0) * math.gamma(e) / math.gamma(q + e + 1.0)) if q + e < 170.0
+            else math.lgamma(q + 1.0) + math.lgamma(e) - math.lgamma(q + e + 1.0))
+    return base + np.concatenate(([0.0], np.cumsum(steps)))
+
+
+_MOMENT_BLOCK = 128  # moments per downward run of _log_moments_below
+
+
+def _log_moments_below(q: float, p: float, b: float, n_max: int) -> np.ndarray:
+    """[log int_0^b r^m (1-r)^p dr for m = q, q+2, ..., q+2*n_max], 0 < b <= 1:
+    b^(m+1) J(m), J(m) = int_0^1 t^m (1-bt)^p dt, where by parts J(m-1) =
+    ((m+p+1) b J(m) + (1-b)^(p+1))/m adds positive terms only, run downward
+    in blocks of _MOMENT_BLOCK below fixed tops M (no moment depends on
+    n_max), each from one scalar fraction: B_b(M+1, p+1) where b <= s =
+    (M+2)/(M+p+4), else the full beta less the mirrored B_(1-b)(p+1, M+1)."""
+    if b >= 1.0:
+        return _log_full_moments(q, p, n_max)
+    e = p + 1.0
+    log_b = math.log(b)
+    runs = []
+    for j in range(max(1, -(-n_max // _MOMENT_BLOCK))):
+        top_n = (j + 1) * _MOMENT_BLOCK
+        top = q + 2.0 * top_n
+        if b <= (top + 2.0) / (top + e + 3.0):
+            log_top = float(_log_inc_beta(b, top + 1.0, e))
+        else:
+            full = float(_log_full_moments(q, p, top_n)[-1])
+            log_top = full + math.log1p(-math.exp(float(_log_inc_beta(1.0 - b, e, top + 1.0)) - full))
+        log_j = log_top - (top + 1.0) * log_b  # the run is on J(m)/J(top)
+        inhom = math.exp(e * math.log1p(-b) - log_j)
+        m = top - 2.0 * np.arange(_MOMENT_BLOCK)  # J(m-2) = scale*J(m) + shift
+        scale = (b * b) * (m + e) * (m + p) / (m * (m - 1.0))
+        shift = inhom * ((m + p) * b / m + 1.0) / (m - 1.0)
+        r, ratio = 1.0, [1.0]
+        for sc, sh in zip(scale.tolist(), shift.tolist()):
+            r = sc * r + sh
+            ratio.append(r)
+        if math.isinf(r):  # J(m)/J(top) overflows only for huge p with b near 1
+            return _log_beta_segment(q + 2.0 * np.arange(n_max + 1), p, 0.0, b)
+        # n = j*B + i at ratio[::-1][i]; block j > 0 leaves its bottom to block j-1
+        runs.append(np.log(ratio[::-1][int(j > 0):min(_MOMENT_BLOCK, n_max - j * _MOMENT_BLOCK) + 1]) + log_j)
+    return np.concatenate(runs) + (q + 2.0 * np.arange(n_max + 1) + 1.0) * log_b
 
 
 def encode_inf(x):
@@ -248,9 +280,11 @@ class RadialMeasure(_Measure):
     def tail_mass(self, delta):
         """sigma([1-delta, 1)), elementwise over an array of delta.
 
-        A piece reaching r = 1 contributes c*B_delta(p+1, q+1), taken from
-        delta itself: 1 - I_{1-delta} would cancel once delta^(p+1) nears
-        the float epsilon."""
+        In t = 1 - r a piece covers [1-b, min(delta, 1-a)], taken from delta
+        itself (1 - I_(1-delta) would cancel), with mass int c*t^p (1-t)^q dt:
+        power_integral at q = 0, from which, for an integer q and b = 1,
+        F_k = int_0^w t^p (1-t)^k dt = (w^(p+1) (1-w)^k + k F_(k-1))/(p+k+1)
+        climbs by positive terms; other pieces take _log_beta_segment."""
         d = np.asarray(delta, dtype=float)
         lo = 1.0 - d
         total = np.zeros(d.shape)
@@ -258,13 +292,17 @@ class RadialMeasure(_Measure):
             total += np.where(r >= lo, w, 0.0)
         with np.errstate(under="ignore"):
             for pc in self.pieces:
-                if pc.b >= 1.0:
-                    width = np.clip(d, 0.0, 1.0 - pc.a)
-                    total += pc.c * np.exp(_log_segment(pc.p, pc.q, 0.0, width))
+                t0, t1 = 1.0 - pc.b, np.minimum(d, 1.0 - pc.a)
+                e = pc.p + 1.0
+                if pc.q == 0.0 or (t0 == 0.0 and pc.q == int(pc.q)):
+                    mass = power_integral(e, t0, t1)
+                    for k in range(1, int(pc.q) + 1):
+                        edge = np.maximum(t1, 0.0) ** e * (1.0 - t1) ** k
+                        mass = (edge + k * mass) / (e + k)
+                    total += pc.c * mass
                     continue
-                a = np.maximum(pc.a, lo)
-                inside = a < pc.b
-                total[inside] += pc.c * np.exp(_log_segment(pc.q, pc.p, a[inside], pc.b))
+                inside = t1 > t0
+                total[inside] += pc.c * np.exp(_log_beta_segment(pc.p, pc.q, t0, t1[inside]))
         return float(total) if total.ndim == 0 else total
 
 
@@ -364,8 +402,17 @@ _PANEL_RATE = 8.0  # most growth (log-derivative times width) of a singular_inte
 def _jacobi_rule(beta: float):
     """_PANEL_ORDER-point Gauss-Jacobi nodes on [-1, 1] for the weight
     (1+x)^beta, with the weights divided by it, so that sum(w*f(x))
-    integrates f itself and is exact where f/(1+x)^beta is a polynomial."""
-    x, w = roots_jacobi(_PANEL_ORDER, 0.0, beta)
+    integrates f itself and is exact where f/(1+x)^beta is a polynomial.
+    Golub & Welsch (Math. Comp. 23, 1969): eigenvalues and first eigenvector
+    components of the Jacobi matrix of P_n^(0,beta) (DLMF 18.9.2)."""
+    n = _PANEL_ORDER
+    k = np.arange(1.0, n)
+    s = 2.0 * k + beta
+    jm = np.zeros((n, n))  # eigh reads the diagonal and the lower triangle
+    jm.flat[::n + 1] = np.concatenate(([beta / (beta + 2.0)], beta * beta / (s * (s + 2.0))))
+    jm.flat[n::n + 1] = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    x, vec = np.linalg.eigh(jm)
+    w = 2.0 ** (beta + 1.0) / (beta + 1.0) * vec[0] ** 2
     return x, w / (1.0 + x) ** beta
 
 
@@ -425,15 +472,20 @@ def log_moment_array(mu: RadialMeasure, n_max: int) -> np.ndarray:
             col = math.log(w) + 2.0 * n * math.log(r)
         logs.append(col)
     for pc in mu.pieces:
-        m = 2.0 * n + pc.q
-        if pc.a <= 0.0 and pc.b >= 1.0:
-            col = math.log(pc.c) + betaln(m + 1.0, pc.p + 1.0)
-        else:
-            col = math.log(pc.c) + _log_segment(m, pc.p, pc.a, pc.b)
-        logs.append(col)
-    if len(logs) == 1:  # logsumexp of one term returns it; skip its cost
+        col = _log_moments_below(pc.q, pc.p, pc.b, n_max)
+        if pc.a > 0.0:  # [a, b) as [0, b) minus [0, a), unless that cancels
+            below_a = _log_moments_below(pc.q, pc.p, pc.a, n_max)
+            near = below_a - col > -math.log(2.0)
+            col = _log_sub(col, below_a)
+            if near.any():
+                col[near] = _log_beta_segment(2.0 * n[near] + pc.q, pc.p, pc.a, pc.b)
+        logs.append(math.log(pc.c) + col)
+    if len(logs) == 1:
         return logs[0]
-    return logsumexp(np.vstack(logs), axis=0)
+    top = np.max(logs, axis=0)
+    top[top == -INF] = 0.0  # a column of -inf (atoms at 0 alone) stays -inf
+    with np.errstate(divide="ignore"):
+        return top + np.log(np.sum(np.exp(np.vstack(logs) - top), axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +594,10 @@ def laplace_transform(pi: VerticalMeasure, xi, convention: str = FOUR_PI):
     Accepts a scalar or an array of frequencies, all evaluated in one array
     call per piece.  With s = k*|xi| an atom w at y gives w*exp(-s*y), and a
     piece c*y^p dy on [a, b) gives c*s^-(p+1) times the incomplete gamma
-    difference over [s*a, s*b]: the lower one (gammainc) for p > -1, the
-    upper one for p <= -1, where a > 0, as a^(p+1)*_upper_gamma(p+1, s*a)
-    minus the same at b, so that s^-(p+1) never multiplies a subnormal.
+    difference over [s*a, s*b]: for p > -1 by _power_exp_integral, both ends
+    in one call, and for p <= -1, where a > 0, the upper one as
+    a^(p+1)*_upper_gamma(p+1, s*a) minus the same at b, so that s^-(p+1)
+    never multiplies a subnormal.
     """
     rate = _KERNEL_RATE[convention]
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -559,9 +612,7 @@ def laplace_transform(pi: VerticalMeasure, xi, convention: str = FOUR_PI):
         for pc in pi.pieces:
             e = pc.p + 1.0
             if e > 0.0:
-                hi = gammainc(e, sv * pc.b) if not math.isinf(pc.b) else 1.0
-                lo = gammainc(e, sv * pc.a)
-                acc += pc.c * np.exp(gammaln(e) - e * np.log(sv)) * (hi - lo)
+                acc += pc.c * _power_exp_integral(e, sv, pc.a, pc.b)
             else:
                 acc += pc.c * (pc.a**e * _upper_gamma(e, sv * pc.a)
                                - pc.b**e * _upper_gamma(e, sv * pc.b))
@@ -571,45 +622,82 @@ def laplace_transform(pi: VerticalMeasure, xi, convention: str = FOUR_PI):
     return out
 
 
+_LOG_UPPER = math.log(1e-10)  # _power_exp_integral's ends take the upper part below this log Q
+_LOG_GONE = -55.0 * math.log(2.0)  # and mostly drop it below this one
+
+
+def _gamma_series(e: float, x: np.ndarray) -> np.ndarray:
+    """sum_k x^k/(e (e+1) ... (e+k)) = x^-e e^x gamma(e, x) (DLMF 8.7.1), for
+    e > 0 and x >= 0 (a 1-d array): one cumprod over terms enough that the
+    rest is below 5e-18 of the sum."""
+    top = float(x.max(initial=0.0))
+    d = e + np.arange(1.0, int(top + 9.0 * math.sqrt(top)) + 10)
+    return (1.0 + np.cumprod(np.divide.outer(x, d), axis=-1).sum(axis=-1)) / e
+
+
+def _gamma_fraction(e: float, x):
+    """x^-e Gamma(e, x) = e^-x/(x+1-e - 1*(1-e)/(x+3-e - 2*(2-e)/(x+5-e - ...)))
+    (DLMF 8.9.2), for x >= 1 and x > e-1, by _lentz."""
+    return np.exp(-x) / _lentz(x + 1.0 - e, lambda i: (-i * (i - e), x + 2.0 * i + 1.0 - e))
+
+
+def _gamma_tail_below(e: float, log_q: float) -> float:
+    """About the x beyond which Q = Gamma(e, x)/Gamma(e) < exp(log_q), by up to five (to 1e-3)
+    contracting fixed-point steps on the bound Q <= x^(e-1) e^-x max(1, x/(x-e+1))/Gamma(e)."""
+    shift = -math.lgamma(e) - log_q
+    x = max(e, 1.0) - log_q
+    for _ in range(5):  # no end below x = 1, where _gamma_fraction is slow and the step leaves x > 0
+        last, x = x, max(1.0, (e - 1.0) * math.log(x) + math.log(max(1.0, x / (x - e + 1.0))) + shift)
+        if abs(x - last) < 1e-3:
+            break
+    return x
+
+
+def _power_exp_integral(e: float, s: np.ndarray, a: float, b: float) -> np.ndarray:
+    """int_a^b y^(e-1) exp(-s*y) dy, elementwise over s > 0, for e > 0, 0 <= a
+    < b <= inf.  An end y at x = s*y gives the lower part s^-e gamma(e, x) =
+    y^e e^-x _gamma_series(e, x), or where Q = Gamma(e, x)/Gamma(e) < 1e-10
+    the upper part s^-e Gamma(e, x) = y^e _gamma_fraction(e, x), so nothing
+    close to s^-e Gamma(e) is subtracted.  An upper part is dropped where it is
+    below 2^-55 min(Gamma(e), Gamma(e+1)) (the size of a piece off y = 0 as e ->
+    0), unless it is the b end of two upper parts whose a end is kept."""
+    if a == 0.0 and b == INF:
+        return np.exp(math.lgamma(e)) * s**-e
+    x = s * np.array([[a], [b]])
+    up = x >= _gamma_tail_below(e, _LOG_UPPER)
+    low = (x > 0.0) & ~up
+    frac = up & (x < _gamma_tail_below(e, _LOG_GONE + math.log(min(e, 1.0))))
+    frac[1] |= frac[0] & up[1] & (b < INF)
+    part = np.zeros(x.shape)
+    part[low] = np.exp(-x[low]) * _gamma_series(e, x[low])
+    part[frac] = [_gamma_fraction(e, v) for v in x[frac].tolist()]
+    lo, hi = part[0] * a**e, part[1] * (b**e if b < INF else 0.0)
+    return np.where(up[0], lo - hi, np.where(up[1], np.exp(math.lgamma(e)) * s**-e - hi - lo, hi - lo))
+
+
 def _upper_gamma(e: float, x: np.ndarray) -> np.ndarray:
     """x^-e * Gamma(e, x), Gamma(e, x) = int_x^inf t^(e-1) exp(-t) dt, for
     e <= 0 and x > 0 (x = inf gives 0), elementwise; laplace_transform's
     p <= -1 pieces.  The factor x^-e keeps the value normal where Gamma(e, x)
-    itself is subnormal.
-
-    Below x = 1 it starts at the order e + n, n = ceil(-e): Gamma(0, x) =
-    E_1(x) (exp1) for integer e, else gammaincc * gamma at an order in
-    (0, 1); then lowers the order n times by DLMF 8.8.2, Gamma(a, x) =
-    (Gamma(a+1, x) - x^a exp(-x)) / a, scaled by x^-a.  From x = 1 on, where
-    that recurrence cancels, it takes the continued fraction of DLMF 8.9.2,
-    exp(-x) / (x+1-e - 1*(1-e)/(x+3-e - 2*(2-e)/(x+5-e - ...))), by the
-    modified Lentz method over the whole array until every factor is 1 to
-    machine precision."""
+    is subnormal.  Below x = 1 it starts at the order e + n, n = ceil(-e),
+    from E_1(x) by its series (DLMF 6.6.2) or Gamma(e+n) less _gamma_series,
+    and lowers the order n times by DLMF 8.8.2, Gamma(a, x) = (Gamma(a+1, x)
+    - x^a e^-x)/a, scaled by x^-a; from x = 1 on, _gamma_fraction."""
     out = np.zeros(x.shape)
     low = x < 1.0
     xl = x[low]
     n = math.ceil(-e)
     top = e + n
-    g = exp1(xl) if top == 0.0 else gammaincc(top, xl) * gamma(top) * xl**-top
+    if top == 0.0:
+        k = np.arange(1.0, 21.0)  # (-x)^k/(k k!) for x < 1 is below 1e-20 from k = 20 on
+        g = -np.euler_gamma - np.log(xl) - (np.cumprod(-xl[:, None] / k, axis=1) / k).sum(axis=1)
+    else:
+        g = math.gamma(top) * xl**-top - np.exp(-xl) * _gamma_series(top, xl)
     for a in e + np.arange(n - 1, -1, -1):
         g = (xl * g - np.exp(-xl)) / a
     out[low] = g
     far = ~low & np.isfinite(x)
-    xf = x[far]
-    b = xf + 1.0 - e
-    c = np.full(xf.shape, INF)  # Lentz's C_0 = inf makes C_1 = b_1
-    d = 1.0 / b
-    frac = d
-    for i in range(1, _CF_MAX_TERMS):
-        an = -i * (i - e)
-        b = b + 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        step = c * d
-        frac = frac * step
-        if np.all(np.abs(step - 1.0) <= _CF_EPS):
-            break
-    out[far] = np.exp(-xf) * frac
+    out[far] = _gamma_fraction(e, x[far])
     return out
 
 

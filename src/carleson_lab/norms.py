@@ -20,7 +20,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fourier import CoeffVector, GridFunction, analyze
 from .measures import (INF, RadialMeasure, RadialPiece, _grading_depth, _panel_segments, moment_array,
@@ -90,7 +89,13 @@ def w_sigma(mu: RadialMeasure, m: int) -> GridFunction:
     _, ok = radial_carleson(mu)
     if not ok:
         warnings.warn("measure fails the radial Carleson criterion; w_sigma is expected unbounded")
-    theta = 2.0 * math.pi * np.arange(1, (m + 1) // 2) / m
+    k = np.arange(1, (m + 1) // 2)
+    # theta = 2*pi*k/m, past pi/2 reflected to pi - theta = pi*(m - 2k)/m, exact
+    # in its integer, so that near pi, where w_sigma vanishes, it stays accurate
+    near_pi = 4 * k > m
+    s, co, half_cos = _trig(math.pi * np.where(near_pi, m - 2 * k, 2 * k) / m)
+    co = np.where(near_pi, -co, co)
+    half_cos = np.where(near_pi, 2.0 - half_cos, half_cos)
     atoms = [(r * r, w * r * r) for r, w in mu.atoms]
     pieces = []
     for pc in mu.pieces:
@@ -101,7 +106,7 @@ def w_sigma(mu: RadialMeasure, m: int) -> GridFunction:
             a = _ROOT_SPLIT
         if pc.b > a:
             pieces.append((RadialPiece(a * a, pc.b * pc.b, 0.5 * pc.c, pc.p, 0.5 * (pc.q + 1.0)), pc.p))
-    half = _poisson_values(atoms, pieces, theta)
+    half = _poisson_values(atoms, pieces, s, co, half_cos)
     mid = np.zeros(1 - m % 2)  # theta = pi for even m
     return GridFunction(2j * np.concatenate(([0.0], half, mid, -half[::-1])))
 
@@ -130,7 +135,7 @@ def analyze_w_sigma_errors(mu: RadialMeasure, m: int = 4096, n_max: int = 64) ->
             # A*Gamma(-p)*[...] = 2i*A*Gamma(1-p)*(2 sin(theta/2))^p*sin(p*half)/p
             sing += 2j * amp * math.gamma(1.0 - pc.p) * (2.0 * np.sin(0.5 * g.thetas)) ** pc.p \
                 * half * np.sinc(pc.p * half / math.pi)
-            sing_hat += amp * np.sign(ns) * np.exp(gammaln(k - pc.p) - gammaln(k + 1.0))
+            sing_hat += amp * np.sign(ns) * np.exp([math.lgamma(j - pc.p) - math.lgamma(j + 1.0) for j in k.tolist()])
     sing[0] = 0.0
     hat = analyze(GridFunction(g.samples - sing), n_max)
     ref = np.sign(ns) * moment_array(mu, n_max)[np.abs(ns)]
@@ -196,8 +201,14 @@ def _poisson_piece(pc, s: np.ndarray, half_cos: np.ndarray, root_p: float = 0.0)
     return pc.c * total
 
 
-def _poisson_values(atoms, pieces, theta: np.ndarray) -> np.ndarray:
+def _trig(theta: np.ndarray):
+    """sin(theta), cos(theta) and 1 - cos(theta), the last without cancellation."""
+    return np.sin(theta), np.cos(theta), 2.0 * np.sin(0.5 * theta) ** 2
+
+
+def _poisson_values(atoms, pieces, s: np.ndarray, co: np.ndarray, half_cos: np.ndarray) -> np.ndarray:
     """int sin(theta)/((r-cos t)^2 + sin^2 t) alpha(dr) at each theta in (0, pi),
+    given s = sin(theta), co = cos(theta) and half_cos = 1 - cos(theta) (_trig),
     alpha given by atoms (r, w) and pieces (pc, root_p) (see _poisson_piece):
     atoms in closed form; constant-density pieces as the exact arctangent
     difference, written as one arctan2 so that it keeps its relative accuracy
@@ -205,9 +216,7 @@ def _poisson_values(atoms, pieces, theta: np.ndarray) -> np.ndarray:
     (sin(theta)/2)*log((db^2 + sin^2)/(da^2 + sin^2)), da = a - cos(theta)
     and db = b - cos(theta); other pieces by _poisson_piece, in blocks of
     _THETA_BLOCK."""
-    s, co = np.sin(theta), np.cos(theta)
-    half_cos = 2.0 * np.sin(0.5 * theta) ** 2  # 1 - cos(theta) without cancellation
-    val = np.zeros(theta.shape)
+    val = np.zeros(s.shape)
     for r, w in atoms:
         val += w * s / ((r - co) ** 2 + s * s)
     for pc, root_p in pieces:
@@ -218,7 +227,7 @@ def _poisson_values(atoms, pieces, theta: np.ndarray) -> np.ndarray:
                 integral = co * integral + 0.5 * s * np.log((db * db + s * s) / (da * da + s * s))
             val += pc.c * integral
             continue
-        for lo in range(0, theta.size, _THETA_BLOCK):
+        for lo in range(0, s.size, _THETA_BLOCK):
             blk = slice(lo, lo + _THETA_BLOCK)
             val[blk] += _poisson_piece(pc, s[blk], half_cos[blk], root_p)
     return val
@@ -232,4 +241,4 @@ def poisson_sup(alpha: RadialMeasure, theta_grid=None) -> float:
     if any(pc.b >= 1.0 and pc.p < 0.0 for pc in alpha.pieces):
         return INF
     theta = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
-    return float(np.max(_poisson_values(alpha.atoms, [(pc, 0.0) for pc in alpha.pieces], theta)))
+    return float(np.max(_poisson_values(alpha.atoms, [(pc, 0.0) for pc in alpha.pieces], *_trig(theta))))

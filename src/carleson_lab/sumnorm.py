@@ -56,7 +56,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .fourier import CoeffVector, GridFunction, analyze, synthesize
 from .measures import RadialMeasure, moment_array
@@ -182,18 +181,20 @@ def sum_norm(
     idx = ns % m  # coefficient slots inside the length-m spectrum
 
     # one length-m spectrum per row; slots outside idx stay zero, and
-    # slots[k] holds row k's coefficient slots in the flattened spectra
+    # slots[k] holds row k's coefficient slots in the flattened spectra; synth
+    # into `grid` returns a view that its next such call overwrites
     spread = np.zeros((1 + len(_JOIN_SCALES), m), dtype=complex)
+    grid, spec = np.empty_like(spread), np.empty_like(spread)
     flat = spread.reshape(-1)
     slots = idx + m * np.arange(len(spread))[:, None]
 
-    def synth(fc):  # row k of coefficients to row k of grid values
+    def synth(fc, out=None):  # row k of coefficients to row k of grid values
         rows = len(fc)
         flat[slots[:rows]] = fc
-        return scipy.fft.ifft(spread[:rows], norm="forward")
+        return np.fft.ifft(spread[:rows], norm="forward", out=out)
 
     def coeffs(y):  # S*y / m row by row, the inverse of synth on its range
-        return scipy.fft.fft(y, norm="forward").take(idx, axis=-1)
+        return np.fft.fft(y, norm="forward", out=spec[:len(y)]).take(idx, axis=-1)
 
     def score(cand, hat):  # weak-duality (lower, scale) of one dual candidate
         with np.errstate(divide="ignore", invalid="ignore"):  # hat / d at sigma_n = 0
@@ -216,7 +217,7 @@ def sum_norm(
     else:  # f = u, g = 0
         best_f, best_g = u.coeffs.copy(), np.zeros(m, dtype=complex)
         cand = synth((d2 * u.coeffs / (float(np.linalg.norm(d * u.coeffs)) or 1.0))[None])[0]
-    lower, scale = score(cand, coeffs(cand))
+    lower, scale = score(cand, coeffs(cand[None])[0])
     if best_upper - lower <= tol * max(best_upper, 1e-300):
         lower = min(lower, best_upper)
         return CertifiedNorm(best_upper, lower, best_upper - lower, 0,
@@ -244,7 +245,7 @@ def sum_norm(
         v = coeffs(e - y)
         for k, vk in enumerate(v):
             f[k], lam[k] = _prox_weighted_l2(vk, d2, inv_d2, 1.0 / (m * rho[k]), lam[k])
-        sf = synth(f)
+        sf = synth(f, out=grid[:len(f)])
         # over-relaxed z-step: y becomes the projection of
         # q = RELAX*(sf - e) + y + e - u onto |.| <= 1/(m*rho), and z = y - q.
         # In place, as numpy call overhead dominates at these sizes.

@@ -7,7 +7,6 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-import scipy.special
 
 from carleson_lab import halfplane
 from carleson_lab.halfplane import (
@@ -174,25 +173,46 @@ def test_w_pi_sup_values():
 
 
 def test_kernel_calls_hyp2f1_only_inside_unit_interval(monkeypatch):
-    # the kernel's primitive is 0 at t = 0 and one scalar at t = 1, so hyp2f1
-    # (argument -t^2) sees no t = 0 and t = 1 only in that scalar call, once
-    # per p >= 0 primitive; for dy on (0, inf) every grid point is an end point
+    # the kernel's primitive is 0 at t = 0, so its series (the 2F1 of
+    # argument -t^2) sees no t = 0; one call per kernel takes the end points
+    # of both parts strictly inside (0, 1) and, as its first and last
+    # points, t = 1 once for each part; for dy on (0, 4) every grid point is
+    # one end point, and p = 0 is the arctangent alone
     calls = []
 
-    def counted(a, b, c, z):
-        calls.append(np.asarray(z))
-        return scipy.special.hyp2f1(a, b, c, z)
+    def counted(e, t):
+        calls.append(np.asarray(t))
+        return series(e, t)
 
-    monkeypatch.setattr(halfplane, "hyp2f1", counted)
+    series = halfplane._primitive_sum
+    monkeypatch.setattr(halfplane, "_primitive_sum", counted)
     xs = halfplane.default_x_grid()
-    for pi, inner in ((lebesgue_halfplane(), 0),
-                      (VerticalMeasure(pieces=(VerticalPiece(0.0, 4.0, 1.0, 0.5),)), xs.size)):
+    for pi, inner, primitives in ((lebesgue_halfplane(), 0, 0),
+                                  (VerticalMeasure(pieces=(VerticalPiece(0.0, 4.0, 1.0, 0.5),)), xs.size, 1)):
         calls.clear()
         w_pi(pi, xs)
-        assert not any(np.any(z == 0.0) for z in calls)
-        at_one = [z for z in calls if np.any(z == -1.0)]
-        assert len(at_one) == 2 and all(z.ndim == 0 for z in at_one)
-        assert sum(z.size for z in calls if z.ndim) == inner
+        assert len(calls) == primitives
+        assert not any(np.any(t == 0.0) for t in calls)
+        assert all(t[0] == 1.0 and t[-1] == 1.0 and not np.any(t[1:-1] == 1.0) for t in calls)
+        assert sum(t.size - 2 for t in calls) == inner
+
+
+@pytest.mark.parametrize("b", [0.05, 1.5])
+def test_primitive_series_near_one_matches_mpmath(b):
+    # 2F1(1, b; b+1; -t^2) = 2b t^-2b int_0^t u^(2b-1)/(1+u^2) du as t -> 1,
+    # where the alternating series converges slowest
+    t = np.concatenate([1.0 - np.logspace(-1, -15, 15), [1.0, 0.5, 1e-3]])
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.hyp2f1(1, b, b + 1, -mpmath.mpf(v) ** 2)) for v in t])
+    assert np.all(np.abs(2.0 * b * halfplane._primitive_sum(2.0 * b, t) - ref) <= 1e-15 * ref)
+
+
+def test_sine_integral_matches_mpmath():
+    # the power series below x = 2, the continued fraction from there on
+    x = np.array([1e-6, 0.5, 1.0, 1.999, 2.0, 2.001, 3.5, 10.0, 39.99, 40.0, 201.0, 1608.0, 1e6])
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.si(v)) for v in x])
+    assert np.all(np.abs(halfplane._sine_integral(x) - ref) <= 3e-15 * ref)
 
 
 def test_b2h_norm_atom_reference():

@@ -1,14 +1,15 @@
 """Source hygiene: no unused imports in src/, tests/, scripts/ or bench/,
-and no scipy.integrate in the package.
+and no scipy in the package.
 
 An AST scan in place of a linter: a name bound by an import must be read
 somewhere in its module (or listed in `__all__`).  An import line carrying
 `# noqa: F401` is exempt, and a package `__init__.py` re-exports what it
 imports, so it is not scanned.
 
-Every integral in src/ is a closed form or a fixed rule, so importing
-scipy.integrate (which also loads scipy.optimize and scipy.sparse, about a
-quarter of a cold CLI call) would only cost start-up time.
+Every special function and transform in src/ is numpy or `math` code, so
+importing any part of scipy (scipy.special alone pulls in its array-API
+layer, numpy.testing and numpy.f2py) would only cost start-up time.  scipy
+stays a test dependency: the SLSQP oracle and some references use it.
 """
 
 import ast
@@ -18,7 +19,6 @@ import sys
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 TREES = ("src", "tests", "scripts", "bench")
-HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
 
 
 def unused_imports(path: str) -> list[str]:
@@ -46,7 +46,7 @@ def unused_imports(path: str) -> list[str]:
             for name, line in sorted(bound.items(), key=lambda kv: kv[1]) if name not in used]
 
 
-def integrate_imports(path: str) -> list[str]:
+def scipy_imports(path: str) -> list[str]:
     with open(path) as fh:
         tree = ast.parse(fh.read(), path)
     found = []
@@ -54,11 +54,11 @@ def integrate_imports(path: str) -> list[str]:
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module:
-            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            names = [node.module]
         else:
             continue
-        if any(n == "scipy.integrate" or n.startswith("scipy.integrate.") for n in names):
-            found.append(f"{os.path.relpath(path, ROOT)}:{node.lineno}: imports scipy.integrate")
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            found.append(f"{os.path.relpath(path, ROOT)}:{node.lineno}: imports scipy")
     return found
 
 
@@ -84,7 +84,8 @@ def test_scan_flags_unused_and_honours_noqa(tmp_path):
 
 
 def test_src_does_not_import_scipy_integrate():
-    problems = [p for path in python_files(("src",)) for p in integrate_imports(path)]
+    # no part of scipy at all, scipy.integrate included
+    problems = [p for path in python_files(("src",)) for p in scipy_imports(path)]
     assert not problems, "\n".join(problems)
 
 
@@ -93,30 +94,40 @@ def test_integrate_scan_flags_every_import_form(tmp_path):
     path.write_text("import scipy.integrate\nfrom scipy import integrate\n"
                     "from scipy.integrate import quad\nfrom scipy import special\n"
                     "import scipy.special\n")
-    assert [p.split(":")[1] for p in integrate_imports(str(path))] == ["1", "2", "3"]
+    assert [p.split(":")[1] for p in scipy_imports(str(path))] == ["1", "2", "3", "4", "5"]
 
 
 CLI_SCRIPT = """
 import contextlib, io, sys
 import test_golden
-from carleson_lab import cli, halfplane, measures
+from carleson_lab import cli, halfplane, measures, norms
 for name in test_golden.CASES:
     test_golden.run_case(name)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["carleson", "--measure", "power:p=0.5"]) == cli.EXIT_OK
-pi = measures.VerticalMeasure(pieces=(measures.VerticalPiece(1.0, 2.0, 1.0, -2.5),))
-measures.laplace_transform(pi, [0.5, 1.0])
-halfplane.w_pi_truncated_fourier_check(measures.lebesgue_halfplane(), 0.1, 10.0)
-print(" ".join(sorted(set(sys.argv[1:]) & set(sys.modules))))
+segment = measures.RadialMeasure(pieces=((0.2, 0.6, 3.0, 0.5, 2.0), (0.1, 0.95, 1.0, 0.7, 0.5)))
+measures.moment_array(segment, 40)
+segment.tail_mass([0.1, 0.5])
+norms.poisson_sup(measures.power_disk(0.7, b=0.9))
+norms.analyze_w_sigma_errors(measures.power_disk(0.5), 512, 16)
+pi = measures.VerticalMeasure(pieces=(measures.VerticalPiece(1.0, 2.0, 1.0, -2.5),
+                                      measures.VerticalPiece(0.0, 3.0, 1.0, 0.5)))
+measures.laplace_transform(pi, [0.5, 1.0, 40.0])
+halfplane.w_pi(pi, [0.01, 1.0])
+halfplane.garnett_check(measures.LineMeasure(pieces=((-2.0, 3.0, 1.0, 0.5),)))
+halfplane.w_pi_truncated_fourier_check(measures.lebesgue_halfplane(), 0.1, 10.0, xi_test=[0.001, 0.05, 0.5])
+print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 
 
 def test_cli_and_integrals_leave_heavy_scipy_unloaded():
-    """The golden commands, the singular integral of a piece, a p <= -1
-    Laplace transform and the truncated Fourier check, in one fresh
-    interpreter, never load scipy.integrate, scipy.optimize or scipy.sparse."""
+    """Every golden command, the singular integral of a piece, moments and
+    tails of pieces off the origin, poisson_sup, the w_sigma error check,
+    W, Garnett's check, Laplace transforms with p <= -1 and p > -1 and the
+    truncated Fourier check (Si by both of its forms), in
+    one fresh interpreter, load no scipy module at all."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]))
-    out = subprocess.run([sys.executable, "-c", CLI_SCRIPT, *HEAVY], env=env,
+    out = subprocess.run([sys.executable, "-c", CLI_SCRIPT], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == []

@@ -36,7 +36,7 @@ from carleson_lab.measures import (
     singular_integral,
     vertical_carleson,
 )
-from carleson_lab.measures import _log_beta_segment
+from carleson_lab.measures import _jacobi_rule, _log_beta_segment, _power_exp_integral, _upper_gamma
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +199,30 @@ def test_log_beta_segment_matches_mpmath(m):
         for a, b, g in zip(lo, hi, got):
             ref = beta_segment_ref(m, p, a, b)
             assert abs(g - ref) <= tol, (m, p, a, b, g, ref)
+
+
+@pytest.mark.parametrize("m, tol", [(400, 1e-13), (4096, 5e-13), (20_000, 2e-12)])
+def test_moment_recurrence_matches_mpmath(m, tol):
+    # the segments above, as pieces with r^2 from the origin: moment n = m/2 - 1
+    # lies 57, 1 and 113 orders below the top of its downward run.
+    # _log_beta_segment reads 1.4e-14, 2.2e-13 and 1.8e-12 here
+    n = m // 2 - 1
+    for p in (-0.95, -0.5, 0.0, 0.5, 1.9, 3.0):
+        s = (m + 2.0) / (m + p + 4.0)
+        for a, b in [(0.0, 0.8 * s), (0.3 * s, 0.9 * s), (s + 0.1 * (1.0 - s), s + 0.6 * (1.0 - s)),
+                     (s + 0.5 * (1.0 - s), 1.0), (0.5 * s, s + 0.5 * (1.0 - s)), (0.0, 1.0)]:
+            got = log_moment_array(RadialMeasure(pieces=(RadialPiece(a, b, 1.0, p, 2.0),)), n)[n]
+            assert abs(got - beta_segment_ref(m, p, a, b)) <= tol, (p, a, b)
+
+
+def test_moments_fall_back_where_the_downward_run_overflows():
+    # (1-r)^3000 on [0, b): J(0)/J(256) passes the float range, so the moments
+    # come from _log_beta_segment instead
+    for b in (0.5, 0.9):
+        ls = log_moment_array(RadialMeasure(pieces=(RadialPiece(0.0, b, 1.0, 3000.0, 0.0),)), 128)
+        assert np.all(np.isfinite(ls))
+        assert np.array_equal(ls, _log_beta_segment(2.0 * np.arange(129), 3000.0, 0.0, b))
+    assert abs(ls[64] - beta_segment_ref(128, 3000.0, 0.0, 0.9)) <= 1e-12 * abs(ls[64])
 
 
 def test_moments_where_betainc_underflows():
@@ -446,6 +470,80 @@ def test_laplace_upper_gamma_matches_mpmath(p):
         # relative at every xi, also where exp(-s*a) leaves Gamma(p+1, s*a)
         # subnormal (p = -3.7, a = 1, four_pi, xi = 56) or underflows to 0
         assert np.all(np.abs(got - ref) <= 1e-12 * ref), (a, b, convention)
+
+
+def test_laplace_near_minus_one_matches_mpmath():
+    # p = -1 + 1e-13: Gamma(p+1) = 1e13 puts the switch to the upper part
+    # below x = 1, where it is held; on (0, 1) across every frequency, and off
+    # the origin where s*a >= 1, so both ends take the fraction, up to s*a = 31
+    # (Gamma(p+1, 31) = 9e-16, kept against Gamma(p+2) = 1, not dropped
+    # against Gamma(p+1))
+    p = -1.0 + 1e-13
+    for (a, b), xi, convention in (((0.0, 1.0), np.logspace(-3, 2, 21), FOUR_PI),
+                                   ((1.0, 3.0), np.logspace(-0.25, 1.2, 9), TWO)):
+        got = laplace_transform(VerticalMeasure(pieces=(VerticalPiece(a, b, 1.0, p),)), xi, convention)
+        k = 2 if convention == TWO else 4 * mpmath.pi
+        with mpmath.workdps(40):
+            e = mpmath.mpf(p) + 1
+            ref = np.array([float(mpmath.gammainc(e, k * x * a, k * x * b) / (k * mpmath.mpf(x)) ** e) for x in xi])
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref), (a, b)
+
+
+X_ACROSS = np.array([1e-3, 0.3, 0.999, 1.0, 1.001, 5.0, 20.0, 30.0, 45.0, 59.0, 60.0, 61.0, 100.0, 300.0])
+
+
+@pytest.mark.parametrize("e", [0.05, 0.5, 1.0, 1.7, 3.0, 12.5])
+def test_incomplete_gamma_matches_mpmath(e):
+    # s^e times int_0^1 and int_1^inf of y^(e-1) e^(-s y) dy are gamma(e, s) and
+    # Gamma(e, s), for s across 1 and 60, and s = 1 on [a, b] is Gamma(e, a) -
+    # Gamma(e, b).  The lower one is relative throughout, the upper one where
+    # its fraction is taken and kept (Q = Gamma(e, s)/Gamma(e) between 2^-55
+    # and 1e-10); elsewhere both are within 1e-14 of Gamma(e)
+    with mpmath.workdps(40):
+        full = float(mpmath.gamma(e))
+        lower = np.array([float(mpmath.gammainc(e, 0, x)) for x in X_ACROSS])
+        upper = np.array([float(mpmath.gammainc(e, x, mpmath.inf)) for x in X_ACROSS])
+        segs = [(0.5, 2.0), (30.0, 45.0), (50.0, 70.0), (59.0, 61.0), (0.999, 1.001)]
+        seg_ref = [float(mpmath.gammainc(e, a, b)) for a, b in segs]
+    got = _power_exp_integral(e, X_ACROSS, 0.0, 1.0) * X_ACROSS**e
+    assert np.all(np.abs(got - lower) <= 1e-14 * lower)
+    err = np.abs(_power_exp_integral(e, X_ACROSS, 1.0, INF) * X_ACROSS**e - upper)
+    kept = (upper < 1e-10 * full) & (upper > 2.0**-55 * full)
+    assert kept.any() and np.all(err[kept] <= 1e-13 * upper[kept])
+    assert np.all(err <= 1e-13 * upper + 1e-14 * full)
+    for (a, b), ref in zip(segs, seg_ref):
+        got = float(_power_exp_integral(e, np.array([1.0]), a, b)[0])
+        assert abs(got - ref) <= 1e-11 * ref + 1e-14 * full, (a, b)  # (0.999, 1.001) cancels
+
+
+@pytest.mark.parametrize("e", [0.0, -0.5, -1.0, -2.5, -3.7])
+def test_upper_gamma_negative_order_matches_mpmath(e):
+    # x^-e Gamma(e, x): the series and the order recurrence below x = 1, the
+    # continued fraction from there on; at e = 0 this is E_1
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.gammainc(e, x, mpmath.inf) / mpmath.mpf(x) ** e) for x in X_ACROSS])
+    assert np.all(np.abs(_upper_gamma(e, X_ACROSS) - ref) <= 1e-14 * ref)
+
+
+def test_exponential_integral_matches_mpmath():
+    x = np.array([1e-8, 1e-3, 0.1, 0.5, 0.9, 0.999, 1.0, 2.0, 30.0])
+    ref = np.array([float(mpmath.e1(v)) for v in x])
+    assert np.all(np.abs(_upper_gamma(0.0, x) - ref) <= 5e-15 * ref)
+
+
+@pytest.mark.parametrize("beta", [-0.7, -0.99])
+def test_jacobi_rule_matches_mpmath(beta):
+    # nodes: roots of P_16^(0,beta) at 40 digits; weights 2^(beta+1)/((1-x^2)
+    # P_16'(x)^2), read back from the weights divided by (1+x)^beta.  scipy's
+    # roots_jacobi is 3.8e-13 (beta = -0.7) and 9.5e-12 (-0.99) off here
+    x, w = _jacobi_rule(beta)
+    n = x.size
+    with mpmath.workdps(40):
+        for xi, wi in zip(x, w * (1.0 + x) ** beta):
+            r = mpmath.findroot(lambda t: mpmath.jacobi(n, 0, beta, t), mpmath.mpf(xi))
+            dp = 2 * n * (n + beta) * mpmath.jacobi(n - 1, 0, beta, r) / ((2 * n + beta) * (1 - r * r))
+            ref = 2 ** (mpmath.mpf(beta) + 1) / ((1 - r * r) * dp * dp)
+            assert abs(xi - r) <= 1e-15 and abs(wi / ref - 1) <= 1e-13, xi
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,28 @@ def test_w_sigma_matches_mpmath(mu):
         assert v[k] == pytest.approx(ref, rel=1e-11), k
 
 
+@pytest.mark.parametrize("mu, piece", [(lebesgue_disk(), (0.0, 1.0, 1.0)),
+                                       (RadialMeasure(pieces=(RadialPiece(0.2, 0.7, 1.3, 0.0, 1.0),)), (0.2, 0.7, 1.3))])
+def test_w_sigma_near_pi_matches_closed_form(mu, piece):
+    # c*r dr on [a, b): w_sigma/(2i) = (c/2) [(s/2) log((u - cos)^2 + s^2)
+    # + cos * atan((u - cos)/s)] over u = r^2 in [a^2, b^2], at the exact grid
+    # angle theta = 2*pi*k/m beside pi, where the rounded angle's sine would
+    # cost 1.8e-13
+    m = 4096
+    a, b, c = piece
+    v = 0.5 * w_sigma(mu, m).samples.imag
+    for k in (m // 2 - 1, m // 2 + 1):
+        with mpmath.workdps(40):
+            t = 2 * mpmath.pi * k / m
+            s, co = mpmath.sin(t), mpmath.cos(t)
+
+            def prim(u):
+                return s / 2 * mpmath.log((u - co) ** 2 + s * s) + co * mpmath.atan((u - co) / s)
+
+            ref = float(c / 2 * (prim(mpmath.mpf(b) ** 2) - prim(mpmath.mpf(a) ** 2)))
+        assert abs(v[k] / ref - 1.0) <= 1e-15, k
+
+
 def test_w_sigma_warns_non_carleson():
     with pytest.warns(UserWarning):
         w_sigma(power_disk(-0.5), 64)

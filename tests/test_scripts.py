@@ -2,6 +2,7 @@
 arguments and prints the numbers of the library call it wraps."""
 
 import importlib.util
+import json
 import math
 import os
 
@@ -62,3 +63,13 @@ def test_bench_pairs_verdict_on_synthetic_runs():
     assert verdict(wide, [w + 200.0 for w in wide], "higher", 0.25)["verdict"] == "gain"
     with pytest.raises(ValueError):
         verdict(base, base[:5], "higher", 0.25)
+
+
+def test_cold_start_reports_one_fresh_cli_process(capsys, tmp_path):
+    cold = load_script("cold_start")
+    assert cold.main(["-k", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["runs"] == 1 and report["command"].endswith("moments --n-max 8")
+    assert 0.0 < report["wall_s"] < 60.0 and report["peak_rss_mb"] > 1.0
+    # a tree without the package: the CLI process fails and so does the script
+    assert cold.main(["-k", "1", "--src", str(tmp_path)]) == 1
