@@ -39,7 +39,7 @@ from .measures import (
     vertical_carleson,
 )
 from .norms import analyze_w_sigma_errors
-from .sumnorm import sum_norm
+from .sumnorm import DEFAULT_MAX_ITERS, DEFAULT_TOL, sum_norm
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -196,9 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--n-max", type=int, default=128)
         p.add_argument("--grid", type=int, default=512)
-        p.add_argument("--tol", type=float, default=1e-5)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument("--count", type=int, default=100)
-        p.add_argument("--max-iters", type=int, default=200_000)
+        p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=["json", "csv"], default="json")
         for flag, kw in cmd.flags:

@@ -48,15 +48,6 @@ class CoeffVector:
         c[n + n_max] = 1.0
         return cls(n_max, c)
 
-    @classmethod
-    def from_map(cls, vals: dict, n_max: int) -> "CoeffVector":
-        c = np.zeros(2 * n_max + 1, dtype=complex)
-        for n, v in vals.items():
-            if abs(n) > n_max:
-                raise ValueError(f"index {n} outside [-{n_max}, {n_max}]")
-            c[n + n_max] = v
-        return cls(n_max, c)
-
     def pad_to(self, n_max: int) -> "CoeffVector":
         if n_max < self.n_max:
             raise ValueError("cannot shrink a coefficient vector")
@@ -81,17 +72,6 @@ class CoeffVector:
 
     def is_analytic(self) -> bool:
         return not np.any(self.coeffs[: self.n_max])
-
-    def to_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "re": self.coeffs.real.tolist(),
-            "im": self.coeffs.imag.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CoeffVector":
-        return cls(int(doc["n_max"]), np.array(doc["re"]) + 1j * np.array(doc["im"]))
 
 
 @dataclass(frozen=True)
@@ -129,33 +109,6 @@ def analyze(g: GridFunction, n_max: int) -> CoeffVector:
     hat = np.fft.fft(g.samples) / g.m
     ns = np.arange(-n_max, n_max + 1)
     return CoeffVector(n_max, hat[ns % g.m])
-
-
-def evaluate(u: CoeffVector, z: complex) -> complex:
-    """sum c_n e_n(z) for |z| < 1."""
-    if abs(z) >= 1.0:
-        raise ValueError(f"evaluation point |z|={abs(z)} outside the open disk")
-    val = 0.0 + 0.0j
-    zb = np.conj(z)
-    for n in range(u.n_max, 0, -1):
-        val = (val + u[n]) * z
-    val += u[0]
-    neg = 0.0 + 0.0j
-    for n in range(u.n_max, 0, -1):
-        neg = (neg + u[-n]) * zb
-    return complex(val + neg)
-
-
-def poisson_dilate(u: CoeffVector, r: float) -> CoeffVector:
-    """c_n -> r^{|n|} c_n (Poisson convolution with P_r)."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("dilation radius must lie in [0, 1]")
-    return CoeffVector(u.n_max, u.coeffs * np.power(r, np.abs(u.ns), dtype=float))
-
-
-def hilbert(u: CoeffVector) -> CoeffVector:
-    """Circular Hilbert transform: c_n -> sgn(n) c_n with sgn(0)=0."""
-    return CoeffVector(u.n_max, u.coeffs * np.sign(u.ns))
 
 
 def analytic_projection(u: CoeffVector) -> CoeffVector:

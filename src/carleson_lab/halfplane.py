@@ -4,7 +4,8 @@ Fourier identity, Garnett's criterion, and the stability inequality with
 its explicit constant.
 
 The conjugate Poisson integral behind W and the Poisson integral of
-Garnett's criterion are closed form: a power-law piece reduces, after
+Garnett's criterion are one Lorentzian integral, int s/(t^2+s^2) nu(dt)
+(`_lorentz`), in closed form: a power-law piece reduces, after
 scaling, to G_p(A, B) = int_A^B t^p/(1+t^2) dt (hypergeometric, `_kernel`),
 evaluated over the whole x or y grid in one array call.  No adaptive
 quadrature runs here; the truncated Fourier identity integrates the
@@ -76,15 +77,6 @@ class BandSignal:
     def _check_grid(self, other: "BandSignal"):
         if self.xi_max != other.xi_max or self.d_xi != other.d_xi:
             raise ValueError("frequency grids do not match")
-
-    def to_dict(self) -> dict:
-        return {"xi_max": self.xi_max, "d_xi": self.d_xi,
-                "re": self.values.real.tolist(), "im": self.values.imag.tolist()}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BandSignal":
-        return cls(float(doc["xi_max"]), float(doc["d_xi"]),
-                   np.array(doc["re"]) + 1j * np.array(doc["im"]))
 
 
 @dataclass(frozen=True)
@@ -194,22 +186,28 @@ def _kernel(p: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conj_poisson(pi: VerticalMeasure, x) -> np.ndarray:
-    """V(x) = int pi*x/(y^2 + pi^2 x^2) Pi(dy) over an array of x, W = i*V.
+def _lorentz(atoms, ranges, s: np.ndarray) -> np.ndarray:
+    """int s/(t^2 + s^2) nu(dt) over a 1-d array of s > 0, for nu made of
+    atoms (t, w) and densities c*t^p dt on ranges 0 <= lo < hi <= inf, given
+    as (c, p, lo, hi): an atom gives w*s/(t^2 + s^2), a range
+    c*s^p*G_p(lo/s, hi/s) (substitute t = s*u)."""
+    out = np.zeros(s.shape)
+    for t, w in atoms:
+        out += w * s / (t * t + s * s)
+    for c, p, lo, hi in ranges:
+        out += c * s**p * _kernel(p, lo / s, hi / s)
+    return out
 
-    With s = pi*|x| a piece c*y^p dy on [a, b) gives sgn(x)*c*s^p*G_p(a/s, b/s)
-    (substitute y = s*t); an atom w at y gives w*pi*x/(y^2 + pi^2 x^2)."""
+
+def _conj_poisson(pi: VerticalMeasure, x) -> np.ndarray:
+    """V(x) = int pi*x/(y^2 + pi^2 x^2) Pi(dy) over an array of x, W = i*V:
+    sgn(x) times the Lorentzian integral of Pi at s = pi*|x|."""
     x = np.asarray(x, dtype=float)
     s = math.pi * np.abs(x)
     out = np.zeros(x.shape)
     nz = s > 0.0
-    sv = s[nz]
-    acc = np.zeros(sv.shape)
-    for y, w in pi.atoms:
-        acc += w * sv / (y * y + sv * sv)
-    for pc in pi.pieces:
-        acc += pc.c * sv**pc.p * _kernel(pc.p, pc.a / sv, pc.b / sv)
-    out[nz] = np.sign(x[nz]) * acc
+    ranges = [(pc.c, pc.p, pc.a, pc.b) for pc in pi.pieces]
+    out[nz] = np.sign(x[nz]) * _lorentz(pi.atoms, ranges, s[nz])
     return out
 
 
@@ -318,31 +316,21 @@ def garnett_check(nu: LineMeasure):
     sup_L nu([-L,L])/(2L) over GARNETT_GRID, both with analytic infinity
     classification.
 
-    The Poisson integral is closed form on all heights at once: a piece
-    c*|t|^p dt on [a, b) gives c*y^p*G_p(lo/y, hi/y) (substitute t = y*u) for
-    each range [lo, hi] of |t| on either side of t = 0 (LinePiece.halves),
-    infinite ends included.  The box masses are one box_mass call on the
-    same grid."""
-    finite = nu.poisson_integrable()
+    The Poisson integral is the Lorentzian integral of nu on all heights at
+    once, a piece contributing each range [lo, hi] of |t| on either side of
+    t = 0 (LinePiece.halves), infinite ends included.  The box masses are
+    one box_mass call on the same grid."""
     for t, _ in nu.atoms:
         if t == 0.0:
-            finite = False
+            return INF, INF
     for pc in nu.pieces:
         if pc.a <= 0.0 <= pc.b and pc.p < 0.0:
-            finite = False
+            return INF, INF
         if (pc.a == -INF or pc.b == INF) and pc.p > 0.0:
-            finite = False
-    if not finite:
-        return INF, INF
+            return INF, INF
     y = GARNETT_GRID
-    val = np.zeros(y.shape)
-    for t, w in nu.atoms:
-        val += w * y / (t * t + y * y)
-    for pc in nu.pieces:
-        for lo, hi in pc.halves():
-            if lo < hi:
-                val += pc.c * y**pc.p * _kernel(pc.p, lo / y, hi / y)
-    return float(np.max(val)), float(np.max(nu.box_mass(y) / (2.0 * y)))
+    ranges = [(pc.c, pc.p, lo, hi) for pc in nu.pieces for lo, hi in pc.halves() if lo < hi]
+    return float(np.max(_lorentz(nu.atoms, ranges, y))), float(np.max(nu.box_mass(y) / (2.0 * y)))
 
 
 def stability_ratio(

@@ -37,10 +37,6 @@ class InequalityReport:
         }
 
 
-def _sum_upper(v: CoeffVector, mu: RadialMeasure, m: int, tol: float, max_iters: int) -> float:
-    return sum_norm(v, mu, m=m, tol=tol, max_iters=max_iters).upper
-
-
 def _unit(u: CoeffVector) -> CoeffVector:
     """Rescale to unit l^2 norm so every ratio is exactly scale-invariant."""
     return CoeffVector(u.n_max, u.coeffs / l2_norm(u))
@@ -62,7 +58,8 @@ def adapted_ineq_ratio(u: CoeffVector, mu: RadialMeasure, pair: AdaptedPair | No
     u = _unit(u)
     v = multiplier(u, pair.a[modes])
     w = multiplier(v, pair.b[modes])
-    den = _sum_upper(v, mu, m, tol, max_iters) + _sum_upper(w, mu, m, tol, max_iters)
+    den = sum_norm(v, mu, m=m, tol=tol, max_iters=max_iters).upper \
+        + sum_norm(w, mu, m=m, tol=tol, max_iters=max_iters).upper
     return l2_norm(u) / den
 
 
@@ -74,7 +71,7 @@ def embedding_ratio(f: CoeffVector, mu: RadialMeasure, m: int = 512, tol: float 
     if not f.is_analytic():
         raise ValueError("embedding ratio requires an analytic input")
     f = _unit(f)
-    return a2_norm(f, mu) / _sum_upper(f, mu, m, tol, max_iters)
+    return a2_norm(f, mu) / sum_norm(f, mu, m=m, tol=tol, max_iters=max_iters).upper
 
 
 def fejer_kernel(n: int) -> CoeffVector:

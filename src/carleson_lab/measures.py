@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -331,7 +330,9 @@ class VerticalMeasure(_Measure):
         """Keep only the mass at heights in (eps, R): Pi_R(dy) = 1(eps<y<R) Pi(dy).
 
         The default eps = 0 cuts only above; a piece keeps its density on
-        [max(a, eps), min(b, R))."""
+        [max(a, eps), min(b, R)).  Needs 0 <= eps < R (NaN fails)."""
+        if not 0.0 <= eps < R:
+            raise ValueError(f"truncation needs 0 <= eps < R, got eps={eps}, R={R}")
         atoms = tuple((y, w) for y, w in self.atoms if eps < y < R)
         pieces = tuple(
             VerticalPiece(max(pc.a, eps), min(pc.b, R), pc.c, pc.p)
@@ -349,13 +350,6 @@ class LineMeasure(_Measure):
     analytically, not enforced at construction."""
 
     POSITION, PIECE = "t", LinePiece
-
-    def poisson_integrable(self) -> bool:
-        """True iff int (1+t^2)^{-1} nu(dt) < infinity."""
-        for pc in self.pieces:
-            if (pc.a == -INF or pc.b == INF) and pc.p >= 1.0:
-                return False
-        return True
 
     def box_mass(self, L):
         """nu([-L, L]), elementwise over an array of L."""
@@ -444,11 +438,6 @@ def _panel_segments(panels: int, ends) -> list:
 # moments
 
 
-def moment(mu: RadialMeasure, n: int) -> float:
-    """sigma_n = int_0^1 r^{2|n|} sigma(dr)."""
-    return float(moment_array(mu, abs(int(n)))[-1])
-
-
 @lru_cache(maxsize=256)
 def moment_array(mu: RadialMeasure, n_max: int) -> np.ndarray:
     """[sigma_0, ..., sigma_{n_max}]; underflows to 0 below the float floor.
@@ -499,30 +488,19 @@ def _probe_grid(base: np.ndarray, cands: list, top: float) -> np.ndarray:
     return grid[(grid > 0.0) & (grid < top)]
 
 
-def radial_carleson(mu: RadialMeasure, delta_grid: Sequence[float] | None = None):
+def radial_carleson(mu: RadialMeasure):
     """(sup_ratio, is_carleson) for sup_delta sigma([1-delta,1))/delta.
 
     The finiteness verdict is analytic on the power-law family: a piece
     reaching r=1 is compatible iff its boundary exponent p >= 0.  The
-    sup_ratio is the grid maximum (default grid is augmented with atom
-    and piece-boundary candidates).
+    sup_ratio is the maximum over DELTA_GRID augmented with atom and
+    piece-boundary candidates.
     """
-    ok = all(pc.p >= 0 for pc in mu.pieces if pc.b >= 1.0)
-    if delta_grid is None:
-        grid = _probe_grid(DELTA_GRID, [1.0 - r for r, _ in mu.atoms]
-                           + [1.0 - x for pc in mu.pieces for x in (pc.a, pc.b)], 1.0)
-    else:
-        grid = np.asarray(delta_grid, dtype=float)
-        if grid.size == 0:
-            raise ValueError("delta grid must be nonempty")
-    if not ok:
+    if not all(pc.p >= 0 for pc in mu.pieces if pc.b >= 1.0):
         return INF, False
+    grid = _probe_grid(DELTA_GRID, [1.0 - r for r, _ in mu.atoms]
+                       + [1.0 - x for pc in mu.pieces for x in (pc.a, pc.b)], 1.0)
     return float(np.max(mu.tail_mass(grid) / grid)), True
-
-
-def boundary_accessible(mu: RadialMeasure) -> bool:
-    """True iff the support reaches the boundary (sup of support = 1)."""
-    return max([r for r, _ in mu.atoms] + [pc.b for pc in mu.pieces]) >= 1.0
 
 
 def singular_integral(mu: RadialMeasure) -> float:

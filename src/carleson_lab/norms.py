@@ -1,17 +1,15 @@
 """Norms on the disk side: L^2 and L^1 of boundary traces, the weighted
 Sobolev-type norm diagonal in the moments, the analytic Bergman norm, the
-bounded weight w_sigma, the Cauchy-kernel bound, and the Poisson-sup
-functional.
+bounded weight w_sigma, and the Poisson-sup functional.
 
 poisson_sup and w_sigma share one evaluation of the Poisson integral over
 a theta grid (_poisson_values): closed forms for atoms and for pieces of
 density c or c*r, and for other pieces a fixed composite Gauss(-Jacobi)
 rule in a variable that flattens the Poisson kernel, on the panel layout
-it shares with measures.singular_integral (whose square root is the
-Cauchy-kernel bound).  w_sigma is that integral in s = r^2, except below
-r = 1/2 where it takes a fixed rule in r; analyze_w_sigma_errors subtracts
-the cusp of w_sigma at theta = 0 before its Fourier analysis.  No adaptive
-quadrature runs here.
+it shares with measures.singular_integral.  w_sigma is that integral in
+s = r^2, except below r = 1/2 where it takes a fixed rule in r;
+analyze_w_sigma_errors subtracts the cusp of w_sigma at theta = 0 before
+its Fourier analysis.  No adaptive quadrature runs here.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import numpy as np
 
 from .fourier import CoeffVector, GridFunction, analyze
 from .measures import (INF, RadialMeasure, RadialPiece, _grading_depth, _panel_segments, moment_array,
-                       radial_carleson, singular_integral)
+                       radial_carleson)
 
 
 def l2_norm(u: CoeffVector) -> float:
@@ -140,11 +138,6 @@ def analyze_w_sigma_errors(mu: RadialMeasure, m: int = 4096, n_max: int = 64) ->
     hat = analyze(GridFunction(g.samples - sing), n_max)
     ref = np.sign(ns) * moment_array(mu, n_max)[np.abs(ns)]
     return float(np.max(np.abs(hat.coeffs + sing_hat - ref)))
-
-
-def cauchy_kernel_bound(mu: RadialMeasure) -> float:
-    """sqrt of the singular integral 2*pi int sigma(dr)/(1-r^2); +inf propagates."""
-    return math.sqrt(singular_integral(mu))
 
 
 def default_theta_grid(k: int = 2048) -> np.ndarray:

@@ -233,6 +233,12 @@ def test_halfplane_command_evaluates_w_sup_once(tmp_path):
     assert results["stability_constant"] == stability_constant(atom_halfplane(2.0))
 
 
+def test_halfplane_trunc_nan_exit_code(capsys):
+    # NaN fails every comparison, so it is rejected, not read as "no cut"
+    assert main(["halfplane", "--trunc", "nan"]) == EXIT_BAD_INPUT
+    assert "truncation needs 0 <= eps < R" in capsys.readouterr().err
+
+
 def test_garnett_command(tmp_path):
     code, text = run_cli(tmp_path, "garnett", "--measure", "atom:t=0")
     assert code == EXIT_OK

@@ -60,15 +60,6 @@ def test_band_signal_arithmetic_grid_guard():
     assert np.array_equal(c.values, a.values)
 
 
-def test_band_signal_json_round_trip():
-    rng = rng_for(30)
-    vals = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    s = band(vals, 2.0, 0.5)
-    again = BandSignal.from_dict(s.to_dict())
-    assert np.array_equal(again.values, s.values)
-    assert again.xi_max == 2.0 and again.d_xi == 0.5
-
-
 def test_spatial_function_l1_and_fourier():
     xs = np.linspace(-10.0, 10.0, 4001)
     f = SpatialFunction(xs, np.exp(-math.pi * xs**2))

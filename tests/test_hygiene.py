@@ -1,5 +1,5 @@
 """Source hygiene: no unused imports in src/, tests/, scripts/ or bench/,
-and no scipy in the package.
+no scipy in the package, and no public function without a caller.
 
 An AST scan in place of a linter: a name bound by an import must be read
 somewhere in its module (or listed in `__all__`).  An import line carrying
@@ -10,6 +10,11 @@ Every special function and transform in src/ is numpy or `math` code, so
 importing any part of scipy (scipy.special alone pulls in its array-API
 layer, numpy.testing and numpy.f2py) would only cost start-up time.  scipy
 stays a test dependency: the SLSQP oracle and some references use it.
+
+A public module-level function of the package must be read somewhere a
+real caller lives: src/ (outside its own def), bench/, scripts/ or the
+acceptance criteria.  A name that only its own unit tests reach is code
+nobody needs.
 """
 
 import ast
@@ -95,6 +100,40 @@ def test_integrate_scan_flags_every_import_form(tmp_path):
                     "from scipy.integrate import quad\nfrom scipy import special\n"
                     "import scipy.special\n")
     assert [p.split(":")[1] for p in scipy_imports(str(path))] == ["1", "2", "3", "4", "5"]
+
+
+def public_functions(path: str) -> list[str]:
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    return [node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def names_read(path: str) -> set[str]:
+    """Every ast.Name and ast.Attribute read in the file, except a
+    module-level function's own name read inside its body (recursion)."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = set()
+    for stmt in tree.body:
+        names = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(stmt)
+                 if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+        if isinstance(stmt, ast.FunctionDef):
+            names.discard(stmt.name)
+        found |= names
+    return found
+
+
+def functions_without_callers() -> list[str]:
+    callers = list(python_files(("src", "bench", "scripts"))) + [
+        os.path.join(ROOT, "tests", "test_acceptance.py")]
+    read = set().union(*(names_read(path) for path in callers))
+    return [name for path in python_files(("src",)) for name in public_functions(path) if name not in read]
+
+
+def test_public_functions_have_callers():
+    missing = functions_without_callers()
+    assert not missing, "public functions no caller reads: " + ", ".join(missing)
 
 
 CLI_SCRIPT = """

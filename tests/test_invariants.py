@@ -9,10 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from carleson_lab.fourier import (
     CoeffVector,
-    evaluate,
-    hilbert,
     multiplier,
-    poisson_dilate,
     synthesize,
 )
 from carleson_lab.halfplane import (
@@ -38,7 +35,7 @@ from carleson_lab.measures import (
     radial_carleson,
     singular_integral,
 )
-from carleson_lab.norms import cauchy_kernel_bound, hmu_norm, l2_norm, poisson_sup
+from carleson_lab.norms import hmu_norm, l2_norm, poisson_sup
 from carleson_lab.sumnorm import dual_bound, sum_norm
 
 from conftest import (
@@ -131,17 +128,6 @@ def test_vertical_and_line_masses_nonnegative_nondecreasing():
 
 
 @HYP
-@given(coeff_lists)
-def test_hilbert_involution(coeffs):
-    n_max = (len(coeffs) - 1) // 2
-    u = CoeffVector(n_max, np.array(coeffs))
-    hh = hilbert(hilbert(u))
-    expect = u.coeffs.copy()
-    expect[n_max] = 0.0
-    assert np.array_equal(hh.coeffs, expect)
-
-
-@HYP
 @given(coeff_lists, st.integers(min_value=0, max_value=3))
 def test_plancherel(coeffs, pad):
     n_max = (len(coeffs) - 1) // 2
@@ -151,16 +137,6 @@ def test_plancherel(coeffs, pad):
     lhs = float(np.mean(np.abs(g.samples) ** 2))
     rhs = l2_norm(u) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
-
-
-@HYP
-@given(coeff_lists, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-def test_poisson_semigroup(coeffs, r, s):
-    n_max = (len(coeffs) - 1) // 2
-    u = CoeffVector(n_max, np.array(coeffs))
-    once = poisson_dilate(u, r * s)
-    twice = poisson_dilate(poisson_dilate(u, r), s)
-    assert np.max(np.abs(once.coeffs - twice.coeffs)) < 1e-12 * (1.0 + np.max(np.abs(u.coeffs)))
 
 
 def test_rotation_equivariance():
@@ -173,19 +149,6 @@ def test_rotation_equivariance():
         left = multiplier(CoeffVector(u.n_max, u.coeffs * rot), symbol)
         right = CoeffVector(u.n_max, multiplier(u, symbol).coeffs * rot)
         assert np.max(np.abs(left.coeffs - right.coeffs)) < 1e-13 * (1 + np.max(np.abs(u.coeffs)))
-
-
-def test_evaluate_consistent_with_dilated_trace():
-    for i in range(N_CASES):
-        rng = rng_for(15000 + i)
-        u = random_coeff_vector(rng, int(rng.integers(1, 9)))
-        r = float(rng.uniform(0.0, 0.99))
-        m = 2 * u.n_max + 1 + int(rng.integers(0, 8))
-        g = synthesize(poisson_dilate(u, r), m)
-        k = int(rng.integers(0, m))
-        theta = 2.0 * math.pi * k / m
-        z = r * complex(math.cos(theta), math.sin(theta))
-        assert abs(evaluate(u, z) - g.samples[k]) < 1e-12 * (1 + np.max(np.abs(u.coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,17 +179,6 @@ def test_poisson_sup_carleson_cofinite_power_family():
         mu = power_disk(p)
         _, carleson = radial_carleson(mu)
         assert math.isinf(poisson_sup(mu)) == (not carleson)
-
-
-def test_cauchy_bound_squares_to_singular_integral():
-    for i in range(40):
-        mu = random_radial_measure(rng_for(21000 + i))
-        s = singular_integral(mu)
-        c = cauchy_kernel_bound(mu)
-        if math.isinf(s):
-            assert math.isinf(c)
-        else:
-            assert c * c == pytest.approx(s, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,11 @@ from carleson_lab.measures import (
     VerticalPiece,
     atom_disk,
     atom_halfplane,
-    boundary_accessible,
     laplace_transform,
     lebesgue_disk,
     lebesgue_halfplane,
     lebesgue_line,
     log_moment_array,
-    moment,
     moment_array,
     power_disk,
     radial_carleson,
@@ -100,14 +98,9 @@ def test_moments_one_minus_r_closed_form():
 
 
 def test_moments_atom():
-    mu = atom_disk(0.5, 2.0)
-    assert moment(mu, 0) == pytest.approx(2.0, abs=1e-15)
-    assert moment(mu, 3) == pytest.approx(2.0 * 0.5**6, rel=1e-15)
-
-
-def test_moment_symmetric_in_n():
-    mu = lebesgue_disk()
-    assert moment(mu, -5) == moment(mu, 5)
+    sig = moment_array(atom_disk(0.5, 2.0), 3)
+    assert sig[0] == pytest.approx(2.0, abs=1e-15)
+    assert sig[3] == pytest.approx(2.0 * 0.5**6, rel=1e-15)
 
 
 def test_moment_array_cached_read_only():
@@ -122,7 +115,6 @@ def test_moment_array_cached_read_only():
     with pytest.raises(ValueError):
         sig[0] = 0.0
     assert np.array_equal(sig, np.exp(log_moment_array(mu, 40)))
-    assert moment(mu, 7) == sig[7]
 
 
 def test_log_moments_beyond_float_floor():
@@ -308,19 +300,6 @@ def test_radial_carleson_power_family():
     assert radial_carleson(power_disk(-0.5, b=0.9))[1]
 
 
-def test_radial_carleson_custom_grid():
-    with pytest.raises(ValueError):
-        radial_carleson(lebesgue_disk(), delta_grid=[])
-    ratio, _ = radial_carleson(atom_disk(0.75), delta_grid=[0.5])
-    assert ratio == pytest.approx(2.0)
-
-
-def test_boundary_accessible():
-    assert boundary_accessible(lebesgue_disk())
-    assert not boundary_accessible(atom_disk(0.99))
-    assert not boundary_accessible(power_disk(0.0, b=0.5))
-
-
 def test_singular_integral_closed_forms():
     # 2*pi int (1-r)/(1-r^2) dr = 2*pi int 1/(1+r) dr = 2*pi ln 2
     assert singular_integral(power_disk(1.0)) == pytest.approx(2.0 * math.pi * math.log(2.0), rel=1e-12)
@@ -407,6 +386,9 @@ def test_vertical_cumulative_and_truncate():
     assert tr.cumulative(10.0) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         atom_halfplane(5.0).truncate(1.0)
+    for eps, big_r in ((0.0, math.nan), (math.nan, 2.0), (2.0, 2.0), (-1.0, 2.0), (0.0, 0.0)):
+        with pytest.raises(ValueError, match="0 <= eps < R"):
+            pi.truncate(big_r, eps)
     ys = np.array([1e-3, 0.3, 0.7, 1.0, 2.5, 10.0, 20.0])
     # pieces off the origin with both ends below 1, across 1 and above 1
     for p, (a, b) in itertools.product(EDGE_POWERS, [(1e-3, 10.0), (0.2, 0.8), (0.5, 3.0), (1.5, 4.0)]):
@@ -571,11 +553,6 @@ def test_line_measure_box_mass():
     # piece ends at 0 give |t| ranges that start at -0.0
     halves = LineMeasure(pieces=(LinePiece(-INF, 0.0, 1.0, 0.0), LinePiece(0.0, INF, 1.0, 0.0)))
     assert halves.box_mass(1.5) == 3.0
-
-
-def test_line_poisson_integrable():
-    assert lebesgue_line().poisson_integrable()
-    assert not LineMeasure(pieces=(LinePiece(-INF, INF, 1.0, 1.0),)).poisson_integrable()
 
 
 # ---------------------------------------------------------------------------

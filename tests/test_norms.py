@@ -11,7 +11,6 @@ from carleson_lab.measures import RadialMeasure, RadialPiece, atom_disk, lebesgu
 from carleson_lab.norms import (
     a2_norm,
     analyze_w_sigma_errors,
-    cauchy_kernel_bound,
     default_theta_grid,
     hmu_norm,
     l1_norm,
@@ -24,7 +23,7 @@ from conftest import random_coeff_vector, rng_for
 
 
 def test_l2_norm():
-    u = CoeffVector.from_map({-1: 3.0, 1: 4.0}, 1)
+    u = CoeffVector(1, np.array([3.0, 0.0, 4.0]))
     assert l2_norm(u) == pytest.approx(5.0)
 
 
@@ -177,12 +176,6 @@ def test_w_sigma_near_pi_matches_closed_form(mu, piece):
 def test_w_sigma_warns_non_carleson():
     with pytest.warns(UserWarning):
         w_sigma(power_disk(-0.5), 64)
-
-
-def test_cauchy_kernel_bound():
-    mu = atom_disk(0.6)
-    assert cauchy_kernel_bound(mu) == pytest.approx(math.sqrt(2.0 * math.pi / 0.64), rel=1e-12)
-    assert math.isinf(cauchy_kernel_bound(lebesgue_disk()))
 
 
 def test_poisson_sup_atom_origin():
