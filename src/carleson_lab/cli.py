@@ -6,7 +6,8 @@ Each command is declared once, in COMMANDS (`adapted` is an alias of
 JSON measure file; specs and files are both read by `from_dict`.
 
 Exit codes: 0 success, 2 invalid input (bad measure file or spec, or a
-violated invariant), 3 solver non-convergence.
+violated invariant; a NaN in a report is refused the same way, as bare
+NaN is not JSON), 3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def resolve_measure(name: str, kind: str):
 
 def emit(report: dict, args) -> None:
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         w = csv.writer(buf)
@@ -118,8 +119,9 @@ def emit(report: dict, args) -> None:
 
 def _corpus(mu, args):
     args.tol = max(args.tol, 1e-4)  # the tol the scan runs at
+    which = "embedding" if args.command == "embedding" else "adapted"  # bbb and its alias
     rep = corpus_scan(mu, args.count, seed=args.seed, n_max=args.n_max,
-                      which=args.command, m=args.grid, tol=args.tol, max_iters=args.max_iters)
+                      which=which, m=args.grid, tol=args.tol, max_iters=args.max_iters)
     return rep.to_dict(), EXIT_OK
 
 

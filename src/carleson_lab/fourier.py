@@ -27,45 +27,9 @@ class CoeffVector:
             raise ValueError("coeffs must have length 2*n_max+1")
         object.__setattr__(self, "coeffs", c)
 
-    def __getitem__(self, n: int) -> complex:
-        if abs(n) > self.n_max:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[n + self.n_max])
-
     @property
     def ns(self) -> np.ndarray:
         return np.arange(-self.n_max, self.n_max + 1)
-
-    @classmethod
-    def zero(cls, n_max: int) -> "CoeffVector":
-        return cls(n_max, np.zeros(2 * n_max + 1, dtype=complex))
-
-    @classmethod
-    def basis(cls, n: int) -> "CoeffVector":
-        """The basis element e_n, of degree |n|."""
-        n_max = abs(n)
-        c = np.zeros(2 * n_max + 1, dtype=complex)
-        c[n + n_max] = 1.0
-        return cls(n_max, c)
-
-    def pad_to(self, n_max: int) -> "CoeffVector":
-        if n_max < self.n_max:
-            raise ValueError("cannot shrink a coefficient vector")
-        k = n_max - self.n_max
-        return CoeffVector(n_max, np.pad(self.coeffs, (k, k)))
-
-    def __add__(self, other: "CoeffVector") -> "CoeffVector":
-        n = max(self.n_max, other.n_max)
-        return CoeffVector(n, self.pad_to(n).coeffs + other.pad_to(n).coeffs)
-
-    def __sub__(self, other: "CoeffVector") -> "CoeffVector":
-        n = max(self.n_max, other.n_max)
-        return CoeffVector(n, self.pad_to(n).coeffs - other.pad_to(n).coeffs)
-
-    def __mul__(self, scalar: complex) -> "CoeffVector":
-        return CoeffVector(self.n_max, self.coeffs * scalar)
-
-    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return not np.any(self.coeffs)

@@ -61,19 +61,6 @@ class BandSignal:
         k = (self.values.size - 1) // 2
         return np.arange(-k, k + 1) * self.d_xi
 
-    @classmethod
-    def zero(cls, xi_max: float, d_xi: float) -> "BandSignal":
-        k = int(round(xi_max / d_xi))
-        return cls(xi_max, d_xi, np.zeros(2 * k + 1, dtype=complex))
-
-    def __add__(self, other: "BandSignal") -> "BandSignal":
-        self._check_grid(other)
-        return BandSignal(self.xi_max, self.d_xi, self.values + other.values)
-
-    def __sub__(self, other: "BandSignal") -> "BandSignal":
-        self._check_grid(other)
-        return BandSignal(self.xi_max, self.d_xi, self.values - other.values)
-
     def _check_grid(self, other: "BandSignal"):
         if self.xi_max != other.xi_max or self.d_xi != other.d_xi:
             raise ValueError("frequency grids do not match")

@@ -124,13 +124,14 @@ def random_poly(seed: int, index: int, n_max: int, s: float = 1.0,
 
 
 def corpus_scan(mu: RadialMeasure, count: int, seed: int = 42, n_max: int = 64,
-                which: str = "bbb", m: int = 512, tol: float = 1e-3,
+                which: str = "adapted", m: int = 512, tol: float = 1e-3,
                 max_iters: int = 40_000) -> InequalityReport:
-    """Run the selected ratio over a deterministic pseudo-random corpus;
-    "bbb" and "adapted" both run adapted_ineq_ratio with the default pair."""
+    """Run the selected ratio over a deterministic pseudo-random corpus:
+    "adapted" runs adapted_ineq_ratio with the default pair, "embedding"
+    embedding_ratio on analytic inputs."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if which not in ("bbb", "adapted", "embedding"):
+    if which not in ("adapted", "embedding"):
         raise ValueError(f"unknown ratio kind {which!r}")
     analytic = which == "embedding"
     pair = None if analytic else adapted_pair(mu, n_max)

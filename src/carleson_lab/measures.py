@@ -41,14 +41,14 @@ class RadialPiece:
     q: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.a < self.b <= 1.0):
+        if not 0.0 <= self.a < self.b <= 1.0:
             raise ValueError(f"radial piece needs 0 <= a < b <= 1, got [{self.a}, {self.b})")
-        if self.c <= 0:
-            raise ValueError("piece coefficient must be positive")
-        if self.p <= -1:
-            raise ValueError("boundary exponent p must exceed -1 for finite mass")
-        if self.q < 0:
-            raise ValueError("origin exponent q must be nonnegative")
+        if not self.c > 0:
+            raise ValueError(f"piece coefficient c must be positive, got {self.c}")
+        if not self.p > -1:
+            raise ValueError(f"boundary exponent p must exceed -1 for finite mass, got {self.p}")
+        if not self.q >= 0:
+            raise ValueError(f"origin exponent q must be nonnegative, got {self.q}")
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,12 @@ class VerticalPiece:
     p: float
 
     def __post_init__(self):
-        if not (0.0 <= self.a < self.b):
+        if not 0.0 <= self.a < self.b:
             raise ValueError(f"vertical piece needs 0 <= a < b, got [{self.a}, {self.b})")
-        if self.c <= 0:
-            raise ValueError("piece coefficient must be positive")
-        if self.a == 0.0 and self.p <= -1:
-            raise ValueError("piece touching 0 needs p > -1 for local finiteness")
+        if not self.c > 0:
+            raise ValueError(f"piece coefficient c must be positive, got {self.c}")
+        if not self.p > (-1 if self.a == 0.0 else -INF):
+            raise ValueError(f"exponent p must be a number, above -1 on a piece touching 0, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,10 @@ class LinePiece:
     def __post_init__(self):
         if not self.a < self.b:
             raise ValueError(f"line piece needs a < b, got [{self.a}, {self.b})")
-        if self.c <= 0:
-            raise ValueError("piece coefficient must be positive")
-        if self.p <= -1 and self.a <= 0.0 <= self.b:
-            raise ValueError("piece covering 0 needs p > -1 for local finiteness")
+        if not self.c > 0:
+            raise ValueError(f"piece coefficient c must be positive, got {self.c}")
+        if not self.p > (-1 if self.a <= 0.0 <= self.b else -INF):
+            raise ValueError(f"exponent p must be a number, above -1 on a piece covering 0, got {self.p}")
 
     def halves(self) -> tuple:
         """The ranges [lo, hi] of |t| over the parts of [a, b) on either side
@@ -233,8 +233,10 @@ class _Measure:
         pieces = tuple(p if isinstance(p, self.PIECE) else self.PIECE(*p) for p in self.pieces)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "pieces", pieces)
-        if any(w <= 0 for _, w in atoms):
-            raise ValueError("atom weight must be positive")
+        if any(math.isnan(x) for x, _ in atoms):
+            raise ValueError(f"atom position {self.POSITION} must be a number")
+        if not all(w > 0 for _, w in atoms):
+            raise ValueError("atom weight w must be positive")
         if not atoms and not pieces:
             raise ValueError("measure must have at least one atom or piece")
 
@@ -313,8 +315,8 @@ class VerticalMeasure(_Measure):
 
     def __post_init__(self):
         super().__post_init__()
-        if any(y <= 0 for y, _ in self.atoms):
-            raise ValueError("atom height must be positive")
+        if not all(y > 0 for y, _ in self.atoms):
+            raise ValueError("atom height y must be positive")
 
     def cumulative(self, y):
         """F_Pi(y) = Pi((0, y]), elementwise over an array of y."""

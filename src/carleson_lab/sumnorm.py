@@ -16,16 +16,18 @@ meets |psi_k| <= 1 exactly.  A second candidate replaces psi's
 coefficients by the subgradient -d^2 f/||D f|| of the weighted norm at f,
 which meets the dual weighted-norm constraint exactly; without it the
 lower bound lags far behind the upper when d is ill-conditioned.  The
-better of the two under the weak-duality formula certifies the lower
-bound, so every result is a certified interval.
+better of the two certifies the lower bound, so every result is a
+certified interval.  One routine, _weak_duality, scores every dual
+candidate: the seed's, each check's, and dual_bound's, which reads the
+candidate's coefficients through analyze.
 
 The upper bound starts at the better single-term split, f = u or f = 0,
 whose closed-form dual candidate is the subgradient D^2 u/||D u|| of the
-weighted term or sign(u) of the L^1 one.  Only that candidate is scored,
-by the same formula, before the first iteration; if it closes the gap the
-split is optimal, and the result returns at once with iterations = 0 and
-the exact witness.  Otherwise that bound is dropped and the loop runs as
-it would without it.
+weighted term or sign(u) of the L^1 one.  Only that candidate is scored
+before the first iteration; if it closes the gap the split is optimal,
+and the result returns at once with iterations = 0 and the exact
+witness.  Otherwise that bound is dropped and the loop runs as it would
+without it.
 
 Ill-conditioned weights d still leave the lower bound lagging: residual
 balancing settles on a rho that serves the primal iterate, while a rho
@@ -59,7 +61,7 @@ import numpy as np
 
 from .fourier import CoeffVector, GridFunction, analyze, synthesize
 from .measures import RadialMeasure, moment_array
-from .norms import hmu_norm_of_moments
+from .norms import hmu_norm
 
 DEFAULT_TOL = 1e-5
 DEFAULT_MAX_ITERS = 200_000
@@ -74,7 +76,6 @@ _EARLY_CHECKS = 2  # checks that rows joining on the lag signal stay
 class Decomposition:
     f: CoeffVector  # weighted-norm part
     g: GridFunction  # L^1 part on the grid
-    residual: float  # max |synth(f) + g - synth(u)| over the grid
 
 
 @dataclass(frozen=True)
@@ -97,27 +98,32 @@ class CertifiedNorm:
         }
 
 
-def dual_hmu(phi: GridFunction, mu: RadialMeasure, n_max: int) -> float:
-    """Dual weighted norm sqrt(sum_{|n|<=N} |phi_hat(n)|^2 / (2*pi*sigma_|n|)).
-
-    A 0/0 term (phi_hat(n) = 0 where sigma_n = 0) makes the norm +inf, as
-    in sum_norm, so dual_bound never drops the weighted constraint."""
-    hat = analyze(phi, n_max)
+def _weights(mu: RadialMeasure, n_max: int) -> np.ndarray:
+    """d_n = sqrt(2*pi*sigma_|n|) for |n| <= n_max, indexed by n + n_max."""
     sig = moment_array(mu, n_max)
+    return np.sqrt(2.0 * math.pi * sig[np.abs(np.arange(-n_max, n_max + 1))])
+
+
+def _weak_duality(psi: np.ndarray, psi_hat: np.ndarray, u_grid: np.ndarray, d: np.ndarray):
+    """Weak-duality (lower, scale) of the dual candidate psi, given by its M
+    grid values and its coefficients psi_hat over |n| <= N: psi/scale meets
+    both dual constraints, sup |psi_k| <= 1 and ||psi_hat/d||_2 <= 1, and
+    lower = |(1/M) sum u(theta_k) conj(psi_k)|/scale.  A 0/0 term of
+    psi_hat/d (psi_hat_n = 0 where d_n = 0) makes that norm +inf, so the
+    weighted constraint is never dropped."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = math.sqrt(np.sum(np.abs(hat.coeffs) ** 2 / (2.0 * math.pi * sig[np.abs(hat.ns)])))
-    return math.inf if math.isnan(val) else val
+        dh = float(np.linalg.norm(psi_hat / d))
+    if math.isnan(dh):  # a 0/0 term; max() below would drop the nan
+        dh = math.inf
+    scale = max(float(np.max(np.abs(psi))), dh, 1e-300)
+    return float(abs(np.vdot(psi, u_grid)) / (psi.size * scale)), scale
 
 
 def dual_bound(u: CoeffVector, phi: GridFunction, mu: RadialMeasure) -> float:
-    """Weak-duality lower bound |(1/M) sum u(theta_k) conj(phi_k)| after
-    rescaling phi so that both dual constraints (sup norm <= 1 and dual
-    weighted norm <= 1) hold."""
-    if np.max(np.abs(phi.samples)) == 0.0:
-        return 0.0
-    scale = max(float(np.max(np.abs(phi.samples))), dual_hmu(phi, mu, u.n_max))
-    u_grid = synthesize(u, phi.m).samples
-    return float(abs(np.vdot(phi.samples, u_grid)) / (phi.m * scale))
+    """_weak_duality's lower bound for the dual candidate phi, its
+    coefficients read by analyze."""
+    return _weak_duality(phi.samples, analyze(phi, u.n_max).coeffs, synthesize(u, phi.m).samples,
+                         _weights(mu, u.n_max))[0]
 
 
 def _prox_weighted_l2(v: np.ndarray, d2: np.ndarray, inv_d2: np.ndarray, t: float,
@@ -162,6 +168,7 @@ def sum_norm(
     Terminates when the relative duality gap drops below tol; otherwise
     returns the best certified interval found with converged=False, whose
     lower bound is at most what dual_bound reads for its dual witness.
+    Every lower bound, the seed's and each check's, is _weak_duality's.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -174,11 +181,9 @@ def sum_norm(
         raise ValueError(f"m={m} too small for degree {n_max}")
 
     u_grid = synthesize(u, m).samples
-    sig = moment_array(mu, n_max)
-    ns = np.arange(-n_max, n_max + 1)
-    d = np.sqrt(2.0 * math.pi * sig[np.abs(ns)])
+    d = _weights(mu, n_max)
     d2 = d * d
-    idx = ns % m  # coefficient slots inside the length-m spectrum
+    idx = np.arange(-n_max, n_max + 1) % m  # coefficient slots inside the length-m spectrum
 
     # one length-m spectrum per row; slots outside idx stay zero, and
     # slots[k] holds row k's coefficient slots in the flattened spectra; synth
@@ -196,18 +201,10 @@ def sum_norm(
     def coeffs(y):  # S*y / m row by row, the inverse of synth on its range
         return np.fft.fft(y, norm="forward", out=spec[:len(y)]).take(idx, axis=-1)
 
-    def score(cand, hat):  # weak-duality (lower, scale) of one dual candidate
-        with np.errstate(divide="ignore", invalid="ignore"):  # hat / d at sigma_n = 0
-            dh = float(np.linalg.norm(hat / d))
-        if math.isnan(dh):  # a 0/0 term; max() below would drop the nan
-            dh = math.inf
-        scale = max(float(np.max(np.abs(cand))), dh, 1e-300)
-        return float(abs(np.vdot(cand, u_grid)) / (m * scale)), scale
-
     # the better single-term split seeds the upper bound, and its dual
     # candidate (see the module docstring) may certify it exactly; at
     # ||D u|| = 0 the split f = u reads 0 and its candidate is 0
-    best_upper = hmu_norm_of_moments(u, sig)
+    best_upper = hmu_norm(u, mu)
     abs_u = np.abs(u_grid)
     single_l1 = float(np.mean(abs_u))
     if single_l1 < best_upper:  # f = 0, g = u
@@ -217,11 +214,11 @@ def sum_norm(
     else:  # f = u, g = 0
         best_f, best_g = u.coeffs.copy(), np.zeros(m, dtype=complex)
         cand = synth((d2 * u.coeffs / (float(np.linalg.norm(d * u.coeffs)) or 1.0))[None])[0]
-    lower, scale = score(cand, coeffs(cand[None])[0])
+    lower, scale = _weak_duality(cand, coeffs(cand[None])[0], u_grid, d)
     if best_upper - lower <= tol * max(best_upper, 1e-300):
         lower = min(lower, best_upper)
         return CertifiedNorm(best_upper, lower, best_upper - lower, 0,
-                             Decomposition(CoeffVector(n_max, best_f), GridFunction(best_g), 0.0),
+                             Decomposition(CoeffVector(n_max, best_f), GridFunction(best_g)),
                              GridFunction(cand / scale))
     # otherwise the bound is dropped, so the loop runs as it would without it
     best_lower = 0.0
@@ -280,7 +277,7 @@ def sum_norm(
                     cands.append((swapped[k], swapped_hat[k]))
                 lows = []
                 for cand, hat in cands:
-                    lower, scale = score(cand, hat)
+                    lower, scale = _weak_duality(cand, hat, u_grid, d)
                     lows.append(lower)
                     if lower > best_lower:
                         best_lower = lower
@@ -326,17 +323,6 @@ def sum_norm(
         # rounding noise that each transform draws anew, so the bound the
         # witness reproduces through dual_bound can be lower than the score
         best_lower = min(best_lower, dual_bound(u, dual_witness, mu))
-    fv = CoeffVector(n_max, best_f)
-    sf = synth(best_f[None])[0]
-    g = GridFunction(u_grid - sf)
-    residual = float(np.max(np.abs(sf + g.samples - u_grid)))
-    witness = Decomposition(fv, g, residual)
-    return CertifiedNorm(
-        upper=best_upper,
-        lower=best_lower,
-        gap=best_upper - best_lower,
-        iterations=it,
-        witness=witness,
-        dual_witness=dual_witness,
-        converged=converged,
-    )
+    witness = Decomposition(CoeffVector(n_max, best_f), GridFunction(u_grid - synth(best_f[None])[0]))
+    return CertifiedNorm(best_upper, best_lower, best_upper - best_lower, it, witness, dual_witness,
+                         converged)

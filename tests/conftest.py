@@ -25,6 +25,17 @@ def rng_for(index: int) -> np.random.Generator:
     return np.random.default_rng([SEED, index])
 
 
+def zero_vector(n_max: int) -> CoeffVector:
+    return CoeffVector(n_max, np.zeros(2 * n_max + 1))
+
+
+def basis_vector(n: int) -> CoeffVector:
+    """The basis element e_n, of degree |n|."""
+    c = np.zeros(2 * abs(n) + 1)
+    c[n + abs(n)] = 1.0
+    return CoeffVector(abs(n), c)
+
+
 def random_coeff_vector(rng: np.random.Generator, n_max: int, analytic: bool = False) -> CoeffVector:
     c = rng.standard_normal(2 * n_max + 1) + 1j * rng.standard_normal(2 * n_max + 1)
     if analytic:

@@ -15,6 +15,7 @@ from carleson_lab.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     build_parser,
+    emit,
     main,
     resolve_measure,
 )
@@ -237,6 +238,21 @@ def test_halfplane_trunc_nan_exit_code(capsys):
     # NaN fails every comparison, so it is rejected, not read as "no cut"
     assert main(["halfplane", "--trunc", "nan"]) == EXIT_BAD_INPUT
     assert "truncation needs 0 <= eps < R" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, spec, field", [
+    ("garnett", "power:p=nan", "p"), ("garnett", "atom:t=nan", "t"), ("halfplane", "atom:y=nan", "y"),
+    ("halfplane", "power:p=nan,b=4", "p"), ("carleson", "power:p=nan", "p")])
+def test_nan_measure_spec_exit_code(capsys, command, spec, field):
+    # each constructor check is a positive condition, which NaN fails
+    assert main([command, "--measure", spec]) == EXIT_BAD_INPUT
+    assert f" {field} must" in capsys.readouterr().err
+
+
+def test_emit_refuses_bare_nan():
+    # bare NaN is not JSON: the report is refused, not printed
+    with pytest.raises(ValueError):
+        emit({"results": {"x": math.nan}}, argparse.Namespace(format="json", out=None))
 
 
 def test_garnett_command(tmp_path):

@@ -16,7 +16,7 @@ from carleson_lab.fourier import (
 )
 from carleson_lab.measures import RadialMeasure, atom_disk, lebesgue_disk, power_disk
 
-from conftest import random_coeff_vector, rng_for
+from conftest import basis_vector, random_coeff_vector, rng_for
 
 
 def _synthesize_direct(u: CoeffVector, m: int) -> GridFunction:
@@ -30,28 +30,15 @@ def _synthesize_direct(u: CoeffVector, m: int) -> GridFunction:
 
 def test_coeff_vector_basics():
     u = CoeffVector(2, np.array([1j, 0.0, 2.0, -1.0, 0.0]))
-    assert u[-2] == 1j and u[0] == 2.0 and u[1] == -1.0
-    assert u[5] == 0.0  # out of range reads as zero
     assert u.ns.tolist() == [-2, -1, 0, 1, 2]
     with pytest.raises(ValueError):
         CoeffVector(2, np.zeros(4))
 
 
-def test_coeff_vector_arithmetic_and_pad():
-    u = CoeffVector.basis(1)
-    v = CoeffVector.basis(-3)
-    w = u + v
-    assert w.n_max == 3 and w[1] == 1.0 and w[-3] == 1.0
-    assert (2.0 * u)[1] == 2.0
-    assert (u - u).is_zero()
-    with pytest.raises(ValueError):
-        w.pad_to(1)
-
-
 def test_is_analytic():
-    assert CoeffVector.basis(3).is_analytic()
-    assert not CoeffVector.basis(-1).is_analytic()
-    assert CoeffVector.basis(0).is_analytic()
+    assert basis_vector(3).is_analytic()
+    assert not basis_vector(-1).is_analytic()
+    assert basis_vector(0).is_analytic()
 
 
 def test_round_trip():
@@ -76,7 +63,7 @@ def test_synthesize_matches_direct_oracle():
 
 
 def test_size_guards():
-    u = CoeffVector.basis(8)
+    u = basis_vector(8)
     with pytest.raises(ValueError):
         synthesize(u, 16)  # need m >= 17
     g = synthesize(u, 17)
@@ -87,16 +74,16 @@ def test_size_guards():
 def test_hilbert_and_projection():
     u = CoeffVector(1, np.array([2.0, 3.0, 4.0]))
     p = analytic_projection(u)
-    assert p[-1] == 0.0 and p[0] == 3.0 and p[1] == 4.0
+    assert p.coeffs.tolist() == [0.0, 3.0, 4.0]
 
 
 def test_multiplier_symbol_forms():
     # the symbol is an array indexed like the coefficients, by n + N
     u = CoeffVector(1, np.array([1.0, 0.0, 1.0]))
     v = multiplier(u, np.array([2.0, 0.0, 3.0]))
-    assert v[-1] == 2.0 and v[0] == 0.0 and v[1] == 3.0
+    assert v.coeffs.tolist() == [2.0, 0.0, 3.0]
     v2 = multiplier(u, np.array([1j, 5.0, -1.0]))
-    assert v2[-1] == 1j and v2[1] == -1.0
+    assert v2.coeffs.tolist() == [1j, 0.0, -1.0]
     with pytest.raises(ValueError):
         multiplier(u, np.array([1.0]))  # not aligned with u.ns
 

@@ -1,5 +1,5 @@
 """Source hygiene: no unused imports in src/, tests/, scripts/ or bench/,
-no scipy in the package, and no public function without a caller.
+no scipy in the package, and no public function or method without a caller.
 
 An AST scan in place of a linter: a name bound by an import must be read
 somewhere in its module (or listed in `__all__`).  An import line carrying
@@ -11,8 +11,9 @@ importing any part of scipy (scipy.special alone pulls in its array-API
 layer, numpy.testing and numpy.f2py) would only cost start-up time.  scipy
 stays a test dependency: the SLSQP oracle and some references use it.
 
-A public module-level function of the package must be read somewhere a
-real caller lives: src/ (outside its own def), bench/, scripts/ or the
+A public module-level function of the package, and each non-dunder
+method, classmethod and property of its classes, must be read somewhere
+a real caller lives: src/ (outside its own def), bench/, scripts/ or the
 acceptance criteria.  A name that only its own unit tests reach is code
 nobody needs.
 """
@@ -102,24 +103,34 @@ def test_integrate_scan_flags_every_import_form(tmp_path):
     assert [p.split(":")[1] for p in scipy_imports(str(path))] == ["1", "2", "3", "4", "5"]
 
 
-def public_functions(path: str) -> list[str]:
+def definitions(path: str) -> list[tuple[str, str]]:
+    """(label, name) of each public module-level function and each
+    non-dunder method, classmethod and property of a module-level class."""
     with open(path) as fh:
         tree = ast.parse(fh.read(), path)
-    return [node.name for node in tree.body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            found.append((node.name, node.name))
+        elif isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{f.name}", f.name) for f in node.body
+                      if isinstance(f, ast.FunctionDef) and not f.name.startswith("__")]
+    return found
 
 
 def names_read(path: str) -> set[str]:
-    """Every ast.Name and ast.Attribute read in the file, except a
-    module-level function's own name read inside its body (recursion)."""
+    """Every ast.Name and ast.Attribute read in the file, except a function's
+    or method's own name read inside its body (recursion)."""
     with open(path) as fh:
         tree = ast.parse(fh.read(), path)
+    units = [unit for stmt in tree.body for unit in (
+        [*stmt.decorator_list, *stmt.bases, *stmt.body] if isinstance(stmt, ast.ClassDef) else [stmt])]
     found = set()
-    for stmt in tree.body:
-        names = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(stmt)
+    for unit in units:
+        names = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(unit)
                  if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
-        if isinstance(stmt, ast.FunctionDef):
-            names.discard(stmt.name)
+        if isinstance(unit, ast.FunctionDef):
+            names.discard(unit.name)
         found |= names
     return found
 
@@ -128,12 +139,21 @@ def functions_without_callers() -> list[str]:
     callers = list(python_files(("src", "bench", "scripts"))) + [
         os.path.join(ROOT, "tests", "test_acceptance.py")]
     read = set().union(*(names_read(path) for path in callers))
-    return [name for path in python_files(("src",)) for name in public_functions(path) if name not in read]
+    return [label for path in python_files(("src",)) for label, name in definitions(path) if name not in read]
 
 
 def test_public_functions_have_callers():
     missing = functions_without_callers()
-    assert not missing, "public functions no caller reads: " + ", ".join(missing)
+    assert not missing, "public functions and methods no caller reads: " + ", ".join(missing)
+
+
+def test_caller_scan_sees_methods(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("class A:\n    def __len__(self): return 0\n    @property\n    def p(self): return 1\n"
+                    "    @classmethod\n    def c(cls): return cls.c()\n    def _m(self): return self.p\n"
+                    "def f(): return f()\n")
+    assert [label for label, name in definitions(str(path)) if name not in names_read(str(path))] == [
+        "A.c", "A._m", "f"]
 
 
 CLI_SCRIPT = """

@@ -78,6 +78,25 @@ def test_line_piece_validation():
     LinePiece(0.5, 1.0, 1.0, -1.5)  # off-origin is fine
 
 
+@pytest.mark.parametrize("piece, fields", [(RadialPiece, (0.2, 0.8, 1.0, 0.5, 1.0)),
+                                           (VerticalPiece, (0.5, 2.0, 1.0, -3.0)),
+                                           (LinePiece, (0.5, 2.0, 1.0, -3.0))])
+def test_piece_rejects_nan_in_every_field(piece, fields):
+    # every check is a positive condition, which NaN fails
+    piece(*fields)
+    for k in range(len(fields)):
+        with pytest.raises(ValueError):
+            piece(*fields[:k], math.nan, *fields[k + 1:])
+
+
+@pytest.mark.parametrize("measure, x", [(RadialMeasure, 0.5), (VerticalMeasure, 1.0), (LineMeasure, 1.0)])
+def test_measure_rejects_nan_atom(measure, x):
+    with pytest.raises(ValueError, match=f"atom position {measure.POSITION}"):
+        measure(atoms=((math.nan, 1.0),))
+    with pytest.raises(ValueError, match="atom weight"):
+        measure(atoms=((x, math.nan),))
+
+
 # ---------------------------------------------------------------------------
 # moments
 
