@@ -41,7 +41,7 @@ class RadialPiece:
     q: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.a < self.b <= 1.0:
+        if not (0.0 <= self.a < self.b <= 1.0):
             raise ValueError(f"radial piece needs 0 <= a < b <= 1, got [{self.a}, {self.b})")
         if not self.c > 0:
             raise ValueError(f"piece coefficient c must be positive, got {self.c}")
@@ -61,7 +61,7 @@ class VerticalPiece:
     p: float
 
     def __post_init__(self):
-        if not 0.0 <= self.a < self.b:
+        if not (0.0 <= self.a < self.b):
             raise ValueError(f"vertical piece needs 0 <= a < b, got [{self.a}, {self.b})")
         if not self.c > 0:
             raise ValueError(f"piece coefficient c must be positive, got {self.c}")
