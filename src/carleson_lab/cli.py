@@ -2,7 +2,9 @@
 deterministic JSON/CSV reports.
 
 Each command is declared once, in COMMANDS (`adapted` is an alias of
-`bbb`).  `--measure` takes a builtin name, an `atom:`/`power:` spec or a
+`bbb`), with the FLAGS it reads: its parser takes only those beside
+`--measure`, `--out` and `--format`, and `params` echoes them and the
+measure.  `--measure` takes a builtin name, an `atom:`/`power:` spec or a
 JSON measure file; specs and files are both read by `from_dict`.
 
 Exit codes: 0 success, 2 invalid input (bad measure file or spec, or a
@@ -147,7 +149,7 @@ def _halfplane(pi, args):
     ratio, ok = vertical_carleson(pi)
     return {"w_sup": w_pi_sup(pi), "is_carleson": ok, "carleson_sup_ratio": ratio,
             "stability_constant": stability_constant(pi),
-            "const_b_pi": const_bpi(1.0, pi)}, EXIT_OK
+            "const_b_pi": const_bpi(pi)}, EXIT_OK
 
 
 def _garnett(nu, args):
@@ -155,29 +157,43 @@ def _garnett(nu, args):
     return {"poisson_sup": psup, "box_sup": bsup, "both_finite": not math.isinf(psup)}, EXIT_OK
 
 
+# dest -> (add_argument keywords of --dest, least valid value of it or of each
+# entry); tol's is the least positive float, and truncate checks trunc itself
+FLAGS = {
+    "seed": ({"type": int, "default": 42}, 0),
+    "n_max": ({"type": int, "default": 128}, 0),
+    "grid": ({"type": int, "default": 512}, 1),
+    "tol": ({"type": float, "default": DEFAULT_TOL}, math.ulp(0.0)),
+    "count": ({"type": int, "default": 100}, 1),
+    "max_iters": ({"type": int, "default": DEFAULT_MAX_ITERS}, 1),
+    "n_list": ({"type": int, "nargs": "+", "default": (2, 8, 32, 128, 512)}, 1),
+    "trunc": ({"type": float, "default": None}, None),
+}
+SOLVE = ("seed", "n_max", "grid", "tol", "max_iters")
+
+
 class Command(NamedTuple):
     help: str
     kind: str
     run: Callable  # (measure, args) -> (results, exit code)
+    reads: tuple = ()  # the FLAGS it reads
     aliases: tuple = ()
-    flags: tuple = ()  # (flag, add_argument keywords) pairs beyond the shared ones
 
 
 COMMANDS = {
     "moments": Command("moment sequence of a radial measure", "radial", lambda mu, args: (
-        {"moments": moment_array(mu, args.n_max).tolist()}, EXIT_OK)),
+        {"moments": moment_array(mu, args.n_max).tolist()}, EXIT_OK), ("n_max",)),
     "carleson": Command("radial Carleson criterion", "radial", _carleson),
-    "sumnorm": Command("certified sum-space norm of a random polynomial", "radial", _sumnorm),
+    "sumnorm": Command("certified sum-space norm of a random polynomial", "radial", _sumnorm, SOLVE),
     "bbb": Command("Bourgain-Brezis-type (adapted-pair) ratio corpus", "radial", _corpus,
-                   aliases=("adapted",)),
-    "embedding": Command("analytic embedding ratio corpus", "radial", _corpus),
+                   SOLVE + ("count",), aliases=("adapted",)),
+    "embedding": Command("analytic embedding ratio corpus", "radial", _corpus, SOLVE + ("count",)),
     "fejer": Command("Fejer kernel projection growth", "radial",
-                     lambda mu, args: (fejer_experiment(mu, args.n_list), EXIT_OK),
-                     flags=(("--n-list", {"type": int, "nargs": "+",
-                                          "default": (2, 8, 32, 128, 512)}),)),
-    "wsigma": Command("boundary weight Fourier identity check", "radial", _wsigma),
+                     lambda mu, args: (fejer_experiment(mu, args.n_list), EXIT_OK), ("n_list",)),
+    "wsigma": Command("boundary weight Fourier identity check", "radial", _wsigma,
+                      ("n_max", "grid")),
     "halfplane": Command("half-plane weight sup and explicit constants", "vertical", _halfplane,
-                         flags=(("--trunc", {"type": float, "default": None}),)),
+                         ("trunc",)),
     "garnett": Command("Garnett criterion", "line", _garnett),
 }
 
@@ -195,28 +211,22 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, aliases=cmd.aliases, help=cmd.help)
         p.set_defaults(entry=cmd)
         p.add_argument("--measure", default=KINDS[cmd.kind][1])
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--n-max", type=int, default=128)
-        p.add_argument("--grid", type=int, default=512)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--count", type=int, default=100)
-        p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
+        for dest in cmd.reads:
+            p.add_argument("--" + dest.replace("_", "-"), **FLAGS[dest][0])
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        for flag, kw in cmd.flags:
-            p.add_argument(flag, **kw)
     return ap
 
 
 def run(args) -> int:
-    if (args.seed < 0 or args.n_max < 0 or args.grid < 1 or args.tol <= 0 or args.count < 1
-            or args.max_iters < 1):
-        raise InputError("seed/n_max/grid/count must be nonnegative, tol positive "
-                         "and max_iters at least 1")
+    for dest in args.entry.reads:
+        value, least = getattr(args, dest), FLAGS[dest][1]
+        values = value if isinstance(value, (list, tuple)) else (value,)
+        if least is not None and not all(v >= least for v in values):  # NaN fails too
+            raise InputError(f"{dest} must be at least {least}, got {value}")
     results, exit_code = args.entry.run(resolve_measure(args.measure, args.entry.kind), args)
     # read after the command ran: a command writes back a parameter it changed
-    params = {"seed": args.seed, "n_max": args.n_max, "grid": args.grid, "tol": args.tol,
-              "count": args.count, "measure": args.measure}
+    params = {"measure": args.measure, **{d: encode_inf(getattr(args, d)) for d in args.entry.reads}}
     if isinstance(results, dict):
         results = {k: encode_inf(v) for k, v in results.items()}
     emit({"command": args.command, "params": params, "results": results}, args)

@@ -94,38 +94,27 @@ def multiplier(u: CoeffVector, symbol: np.ndarray) -> CoeffVector:
 @dataclass(frozen=True)
 class AdaptedPair:
     """Multiplier symbols (a, b) tied to the measure's moments, as float
-    arrays indexed by n + n_max, with the boundedness constant C_b of b."""
+    arrays indexed by n + n_max; b = sgn has boundedness constant C_b = 1."""
 
     a: np.ndarray
     b: np.ndarray
-    c_b: float
     n_max: int
 
 
-def adapted_pair(mu: RadialMeasure, n_max: int, b: np.ndarray | None = None) -> AdaptedPair:
-    """Build a measure-adapted pair: |a(n)|^2 b(n) sgn(n) = (2*pi*sigma_n)^{-1}
-    on nonzero modes, a(0) = (2*pi*sigma_0)^{-1/2} and b(0) = 0.
+def adapted_pair(mu: RadialMeasure, n_max: int) -> AdaptedPair:
+    """Build the measure-adapted pair with b = sgn, so that T_b is the
+    Hilbert transform: a(n)^2 = (2*pi*sigma_|n|)^{-1} on every mode, b(0) = 0.
 
-    b is a real array indexed by n + n_max with b(n) of the sign of n for
-    n != 0 (its entry at n = 0 is ignored); the default b = sgn makes T_b
-    the Hilbert transform.  a is evaluated through log moments, so
-    measures whose moments underflow double precision stay finite.
+    a is evaluated through log moments, so measures whose moments underflow
+    double precision stay finite.
     """
     ls = log_moment_array(mu, n_max)
     if not np.all(np.isfinite(ls)):
         raise ValueError("adapted pair requires strictly positive moments up to n_max")
     ns = np.arange(-n_max, n_max + 1)
-    nz = ns != 0
-    b = np.sign(ns).astype(float) if b is None else np.where(nz, b, 0.0)
-    if np.iscomplexobj(b) or not np.all(b[nz] * ns[nz] > 0.0):
-        raise ValueError("b(n) must be real, nonzero and of the sign of n")
-    mags = np.abs(b[nz])
-    c_b = max(np.max(mags, initial=1.0), 1.0 / np.min(mags, initial=1.0))
     log_w = math.log(2.0 * math.pi) + ls  # log(2*pi*sigma_n), n = 0..n_max
     a = np.exp(-0.5 * log_w)[np.abs(ns)]
-    a[nz] /= np.sqrt(mags)
-    # sanity: the defining identity, in logs, on every mode (|b(0)| read as 1)
-    lhs = 2.0 * np.log(a) + np.log(np.where(nz, np.abs(b), 1.0))
-    if not np.allclose(lhs, -log_w[np.abs(ns)], rtol=0.0, atol=1e-9):
+    # sanity: the defining identity, in logs, on every mode
+    if not np.allclose(2.0 * np.log(a), -log_w[np.abs(ns)], rtol=0.0, atol=1e-9):
         raise AssertionError("adapted pair identity violated")
-    return AdaptedPair(a=a, b=b, c_b=float(c_b), n_max=n_max)
+    return AdaptedPair(a=a, b=np.sign(ns).astype(float), n_max=n_max)

@@ -351,15 +351,12 @@ def stability_ratio(
     return num / den
 
 
-def stability_constant(pi: VerticalMeasure, big_r: float | None = None) -> float:
-    """The explicit stability constant 2*sqrt(2 + sup|W|) for Pi (or its
-    truncation at R)."""
-    p = pi if big_r is None else pi.truncate(big_r)
-    return 2.0 * math.sqrt(2.0 + w_pi_sup(p))
+def stability_constant(pi: VerticalMeasure) -> float:
+    """The explicit stability constant 2*sqrt(2 + sup|W|) for Pi."""
+    return 2.0 * math.sqrt(2.0 + w_pi_sup(pi))
 
 
-def const_bpi(c_b: float, pi: VerticalMeasure) -> float:
-    """sqrt(C_b + sup|W| + 1); +inf propagates."""
-    if c_b < 1.0:
-        raise ValueError("C_b is >= 1 by definition")
-    return math.sqrt(c_b + w_pi_sup(pi) + 1.0)
+def const_bpi(pi: VerticalMeasure) -> float:
+    """sqrt(C_b + sup|W| + 1) for the Hilbert transform's C_b = 1; +inf
+    propagates."""
+    return math.sqrt(1.0 + w_pi_sup(pi) + 1.0)

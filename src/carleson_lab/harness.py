@@ -109,14 +109,13 @@ def fejer_experiment(mu: RadialMeasure, n_list) -> list[dict]:
     return rows
 
 
-def random_poly(seed: int, index: int, n_max: int, s: float = 1.0,
-                analytic: bool = False) -> CoeffVector:
+def random_poly(seed: int, index: int, n_max: int, analytic: bool = False) -> CoeffVector:
     """Deterministic random trigonometric polynomial: independent complex
-    Gaussians with variance profile (1+|n|)^{-s}; per-sample stream derived
+    Gaussians with variance profile (1+|n|)^{-1}; per-sample stream derived
     from (seed, index)."""
     rng = np.random.default_rng([seed, index])
     ns = np.arange(-n_max, n_max + 1)
-    std = (1.0 + np.abs(ns)) ** (-s / 2.0) / math.sqrt(2.0)
+    std = (1.0 + np.abs(ns)) ** -0.5 / math.sqrt(2.0)
     c = std * (rng.standard_normal(2 * n_max + 1) + 1j * rng.standard_normal(2 * n_max + 1))
     if analytic:
         c[:n_max] = 0.0

@@ -43,12 +43,12 @@ class RadialPiece:
     def __post_init__(self):
         if not (0.0 <= self.a < self.b <= 1.0):
             raise ValueError(f"radial piece needs 0 <= a < b <= 1, got [{self.a}, {self.b})")
-        if not self.c > 0:
-            raise ValueError(f"piece coefficient c must be positive, got {self.c}")
-        if not self.p > -1:
-            raise ValueError(f"boundary exponent p must exceed -1 for finite mass, got {self.p}")
-        if not self.q >= 0:
-            raise ValueError(f"origin exponent q must be nonnegative, got {self.q}")
+        if not 0 < self.c < INF:
+            raise ValueError(f"piece coefficient c must be positive and finite, got {self.c}")
+        if not -1 < self.p < INF:
+            raise ValueError(f"boundary exponent p must be finite and exceed -1 for finite mass, got {self.p}")
+        if not 0 <= self.q < INF:
+            raise ValueError(f"origin exponent q must be nonnegative and finite, got {self.q}")
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,10 @@ class VerticalPiece:
     def __post_init__(self):
         if not (0.0 <= self.a < self.b):
             raise ValueError(f"vertical piece needs 0 <= a < b, got [{self.a}, {self.b})")
-        if not self.c > 0:
-            raise ValueError(f"piece coefficient c must be positive, got {self.c}")
-        if not self.p > (-1 if self.a == 0.0 else -INF):
-            raise ValueError(f"exponent p must be a number, above -1 on a piece touching 0, got {self.p}")
+        if not 0 < self.c < INF:
+            raise ValueError(f"piece coefficient c must be positive and finite, got {self.c}")
+        if not (-1 if self.a == 0.0 else -INF) < self.p < INF:
+            raise ValueError(f"exponent p must be finite, above -1 on a piece touching 0, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,10 @@ class LinePiece:
     def __post_init__(self):
         if not self.a < self.b:
             raise ValueError(f"line piece needs a < b, got [{self.a}, {self.b})")
-        if not self.c > 0:
-            raise ValueError(f"piece coefficient c must be positive, got {self.c}")
-        if not self.p > (-1 if self.a <= 0.0 <= self.b else -INF):
-            raise ValueError(f"exponent p must be a number, above -1 on a piece covering 0, got {self.p}")
+        if not 0 < self.c < INF:
+            raise ValueError(f"piece coefficient c must be positive and finite, got {self.c}")
+        if not (-1 if self.a <= 0.0 <= self.b else -INF) < self.p < INF:
+            raise ValueError(f"exponent p must be finite, above -1 on a piece covering 0, got {self.p}")
 
     def halves(self) -> tuple:
         """The ranges [lo, hi] of |t| over the parts of [a, b) on either side
@@ -233,10 +233,10 @@ class _Measure:
         pieces = tuple(p if isinstance(p, self.PIECE) else self.PIECE(*p) for p in self.pieces)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "pieces", pieces)
-        if any(math.isnan(x) for x, _ in atoms):
-            raise ValueError(f"atom position {self.POSITION} must be a number")
-        if not all(w > 0 for _, w in atoms):
-            raise ValueError("atom weight w must be positive")
+        if not all(-INF < x < INF for x, _ in atoms):
+            raise ValueError(f"atom position {self.POSITION} must be finite")
+        if not all(0 < w < INF for _, w in atoms):
+            raise ValueError("atom weight w must be positive and finite")
         if not atoms and not pieces:
             raise ValueError("measure must have at least one atom or piece")
 
@@ -690,13 +690,13 @@ def lebesgue_disk() -> RadialMeasure:
     return RadialMeasure(pieces=(RadialPiece(0.0, 1.0, 1.0, 0.0, 1.0),))
 
 
-def power_disk(p: float, b: float = 1.0, c: float = 1.0) -> RadialMeasure:
-    """sigma(dr) = c*(1-r)^p dr on [0, b)."""
-    return RadialMeasure(pieces=(RadialPiece(0.0, b, c, p, 0.0),))
+def power_disk(p: float) -> RadialMeasure:
+    """sigma(dr) = (1-r)^p dr on [0, 1)."""
+    return RadialMeasure(pieces=(RadialPiece(0.0, 1.0, 1.0, p, 0.0),))
 
 
-def atom_disk(r: float, w: float = 1.0) -> RadialMeasure:
-    return RadialMeasure(atoms=((r, w),))
+def atom_disk(r: float) -> RadialMeasure:
+    return RadialMeasure(atoms=((r, 1.0),))
 
 
 def lebesgue_halfplane() -> VerticalMeasure:

@@ -136,9 +136,9 @@ def analyze_w_sigma_errors(mu: RadialMeasure, m: int = 4096, n_max: int = 64) ->
     return float(np.max(np.abs(hat.coeffs + sing_hat - ref)))
 
 
-def default_theta_grid(k: int = 2048) -> np.ndarray:
-    """Chebyshev-style grid on (0, pi) clustered near theta = 0."""
-    u = (np.arange(1, k + 1) - 0.5) / k
+def default_theta_grid() -> np.ndarray:
+    """Chebyshev-style grid of 2048 points on (0, pi) clustered near theta = 0."""
+    u = (np.arange(1, 2049) - 0.5) / 2048
     return math.pi * np.sin(0.5 * math.pi * u) ** 2
 
 

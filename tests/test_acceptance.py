@@ -159,7 +159,7 @@ def test_criterion_6_halfplane_explicit_constants():
     t0 = time.time()
     pi = lebesgue_halfplane()
     sup_err = abs(w_pi_sup(pi) - math.pi / 2.0)
-    cb_err = abs(const_bpi(1.0, pi) - math.sqrt(2.0 + math.pi / 2.0))
+    cb_err = abs(const_bpi(pi) - math.sqrt(2.0 + math.pi / 2.0))
     bound = 2.0 * math.sqrt(2.0 + math.pi / 2.0)
     worst = 0.0
     for i in range(50):

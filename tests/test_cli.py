@@ -11,9 +11,11 @@ import pytest
 
 from carleson_lab import harness
 from carleson_lab.cli import (
+    COMMANDS,
     EXIT_BAD_INPUT,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
+    FLAGS,
     build_parser,
     emit,
     main,
@@ -30,7 +32,6 @@ from carleson_lab.measures import (
     atom_halfplane,
     lebesgue_disk,
     lebesgue_line,
-    power_disk,
 )
 from carleson_lab.sumnorm import sum_norm
 
@@ -50,7 +51,7 @@ def run_cli(tmp_path, *argv):
 def test_resolve_builtin_names():
     assert resolve_measure("lebesgue-disk", "radial") == lebesgue_disk()
     assert resolve_measure("atom:r=0.5", "radial") == atom_disk(0.5)
-    assert resolve_measure("atom:r=0.5,w=2", "radial") == atom_disk(0.5, 2.0)
+    assert resolve_measure("atom:r=0.5,w=2", "radial") == RadialMeasure(atoms=((0.5, 2.0),))
     mu = resolve_measure("power:p=1", "radial")
     assert mu.pieces[0].p == 1.0
     pi = resolve_measure("atom:y=2", "vertical")
@@ -62,7 +63,8 @@ def test_resolve_builtin_names():
 def test_spec_honours_every_piece_field_and_rejects_unknown_keys(capsys):
     assert resolve_measure("power:p=1,q=2,a=0.5", "radial") == RadialMeasure(
         pieces=(RadialPiece(0.5, 1.0, 1.0, 1.0, 2.0),))
-    assert resolve_measure("power:p=1,b=0.5,c=2", "radial") == power_disk(1.0, b=0.5, c=2.0)
+    assert resolve_measure("power:p=1,b=0.5,c=2", "radial") == RadialMeasure(
+        pieces=(RadialPiece(0.0, 0.5, 2.0, 1.0),))
     assert resolve_measure("power:p=-0.5,a=1,b=2,c=3", "vertical") == VerticalMeasure(
         pieces=((1.0, 2.0, 3.0, -0.5),))
     assert resolve_measure("atom:t=-1,w=2", "line") == LineMeasure(atoms=((-1.0, 2.0),))
@@ -85,10 +87,56 @@ def test_spec_or_file_without_a_required_key_names_it(tmp_path, capsys):
         assert f"missing key '{key}'" in capsys.readouterr().err
 
 
+def subparsers() -> dict:
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_schema_command_enum_matches_parser():
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert "adapted" in sub.choices
-    assert sorted(SCHEMA["properties"]["command"]["enum"]) == sorted(sub.choices)
+    assert "adapted" in subparsers()
+    assert sorted(SCHEMA["properties"]["command"]["enum"]) == sorted(subparsers())
+
+
+SOLVE = {"seed", "n_max", "grid", "tol", "max_iters"}
+# command -> the flags it reads: its parser's only flags beside --measure, --out and --format
+ROWS = {"moments": {"n_max"}, "carleson": set(), "garnett": set(), "sumnorm": SOLVE,
+        "bbb": SOLVE | {"count"}, "embedding": SOLVE | {"count"}, "fejer": {"n_list"},
+        "wsigma": {"n_max", "grid"}, "halfplane": {"trunc"}}
+# a cheap call of each command
+CHEAP = {"moments": ["--n-max", "2"], "carleson": [], "garnett": [], "halfplane": [],
+         "sumnorm": ["--n-max", "2", "--grid", "8"],
+         "bbb": ["--count", "1", "--n-max", "2", "--grid", "8"],
+         "embedding": ["--count", "1", "--n-max", "2", "--grid", "8"],
+         "fejer": ["--n-list", "2"], "wsigma": ["--n-max", "2", "--grid", "8"]}
+
+
+def test_each_parser_takes_exactly_its_row():
+    # 49 settable flags over the nine parsers (83 when every command took all six solver flags)
+    assert set(COMMANDS) == set(ROWS)
+    total = 0
+    for name, cmd in COMMANDS.items():
+        flags = {s for a in subparsers()[name]._actions for s in a.option_strings} - {"-h", "--help"}
+        assert set(cmd.reads) == ROWS[name]
+        assert flags == {"--measure", "--out", "--format"} | {"--" + d.replace("_", "-") for d in ROWS[name]}
+        total += len(flags)
+    assert total == 49
+
+
+@pytest.mark.parametrize("command, dest", [(name, dest) for name in COMMANDS for dest in FLAGS
+                                           if dest not in COMMANDS[name].reads])
+def test_flag_a_command_does_not_read_exits_2(capsys, command, dest):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--" + dest.replace("_", "-"), "1"])
+    assert exc.value.code == EXIT_BAD_INPUT
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [*COMMANDS, "adapted"])
+def test_params_are_the_measure_and_the_flags_read(tmp_path, command):
+    code, text = run_cli(tmp_path, command, *CHEAP["bbb" if command == "adapted" else command])
+    assert code == EXIT_OK
+    doc = json.loads(text)
+    jsonschema.validate(doc, SCHEMA)
+    assert set(doc["params"]) == {"measure"} | ROWS["bbb" if command == "adapted" else command]
 
 
 def test_resolve_rejects_bad_names():
@@ -234,6 +282,15 @@ def test_halfplane_command_evaluates_w_sup_once(tmp_path):
     assert results["stability_constant"] == stability_constant(atom_halfplane(2.0))
 
 
+def test_halfplane_reports_its_trunc(tmp_path):
+    for argv, trunc in (([], None), (["--trunc", "10"], 10.0), (["--trunc", "inf"], "inf")):
+        code, text = run_cli(tmp_path, "halfplane", *argv)
+        assert code == EXIT_OK
+        doc = json.loads(text)
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["params"]["trunc"] == trunc
+
+
 def test_halfplane_trunc_nan_exit_code(capsys):
     # NaN fails every comparison, so it is rejected, not read as "no cut"
     assert main(["halfplane", "--trunc", "nan"]) == EXIT_BAD_INPUT
@@ -242,9 +299,14 @@ def test_halfplane_trunc_nan_exit_code(capsys):
 
 @pytest.mark.parametrize("command, spec, field", [
     ("garnett", "power:p=nan", "p"), ("garnett", "atom:t=nan", "t"), ("halfplane", "atom:y=nan", "y"),
-    ("halfplane", "power:p=nan,b=4", "p"), ("carleson", "power:p=nan", "p")])
+    ("halfplane", "power:p=nan,b=4", "p"), ("carleson", "power:p=nan", "p"),
+    ("carleson", "power:p=inf", "p"), ("carleson", "power:p=0,q=inf", "q"),
+    ("carleson", "atom:r=0.5,w=inf", "w"), ("carleson", "power:p=0,c=inf", "c"),
+    ("garnett", "atom:t=inf", "t"), ("halfplane", "atom:y=inf", "y")])
 def test_nan_measure_spec_exit_code(capsys, command, spec, field):
-    # each constructor check is a positive condition, which NaN fails
+    # each constructor check is a positive condition, which NaN fails, and
+    # it bounds the value above too, so an infinite c, p, q, weight or
+    # position fails as well
     assert main([command, "--measure", spec]) == EXIT_BAD_INPUT
     assert f" {field} must" in capsys.readouterr().err
 
@@ -317,16 +379,20 @@ def test_bad_measure_file_exit_code(tmp_path, capsys):
 
 
 def test_bad_params_exit_code(capsys):
-    assert main(["moments", "--count", "0"]) == EXIT_BAD_INPUT
-    assert main(["moments", "--seed", "-1"]) == EXIT_BAD_INPUT
+    for argv, dest in ((["bbb", "--count", "0"], "count"), (["sumnorm", "--seed", "-1"], "seed"),
+                       (["wsigma", "--grid", "0"], "grid"), (["moments", "--n-max", "-1"], "n_max"),
+                       (["sumnorm", "--tol", "0"], "tol"), (["sumnorm", "--tol", "nan"], "tol"),
+                       (["fejer", "--n-list", "2", "0"], "n_list")):
+        assert main(argv) == EXIT_BAD_INPUT
+        assert f"{dest} must be at least" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["sumnorm", "bbb", "moments"])
+@pytest.mark.parametrize("command", ["sumnorm", "bbb", "embedding"])
 def test_max_iters_below_one_exit_code(capsys, command):
-    # iterations: 0 reads as a certified split, so no command takes a cap
-    # that would let a solve stop before its first iteration
+    # iterations: 0 reads as a certified split, so no command that takes a
+    # cap takes one that would let a solve stop before its first iteration
     for value in ("0", "-3"):
-        argv = [command, "--n-max", "4", "--count", "1", "--max-iters", value]
+        argv = [command, "--n-max", "4", "--max-iters", value]
         assert main(argv) == EXIT_BAD_INPUT
         assert "max_iters" in capsys.readouterr().err
 

@@ -14,7 +14,7 @@ from carleson_lab.fourier import (
     multiplier,
     synthesize,
 )
-from carleson_lab.measures import RadialMeasure, atom_disk, lebesgue_disk, power_disk
+from carleson_lab.measures import RadialMeasure, RadialPiece, atom_disk, lebesgue_disk
 
 from conftest import basis_vector, random_coeff_vector, rng_for
 
@@ -110,35 +110,11 @@ def test_adapted_pair_default():
     # sigma_2 = 1/6, so a(2) = sqrt(3/pi); index n + 4
     assert pair.a[2 + 4] == pytest.approx(math.sqrt(3.0 / math.pi), rel=1e-12)
     assert pair.b[2 + 4] == 1.0 and pair.b[-2 + 4] == -1.0 and pair.b[0 + 4] == 0.0
-    assert pair.c_b == 1.0
-
-
-def test_adapted_pair_custom_b():
-    ns = np.arange(-2, 3)
-    pair = adapted_pair(lebesgue_disk(), 2, b=2.0 * np.sign(ns))
-    assert pair.c_b == 2.0
-    for n in (1, 2, -1, -2):
-        sig = 1.0 / (2.0 * abs(n) + 2.0)
-        lhs = abs(pair.a[n + 2]) ** 2 * pair.b[n + 2] * np.sign(n)
-        assert lhs == pytest.approx(1.0 / (2.0 * math.pi * sig), rel=1e-12)
-
-
-def test_adapted_pair_rejects_bad_b():
-    mu = lebesgue_disk()
-    ns = np.arange(-2, 3)
-    with pytest.raises(ValueError):
-        adapted_pair(mu, 2, b=np.zeros(5))
-    with pytest.raises(ValueError):
-        adapted_pair(mu, 2, b=-np.sign(ns))
-    with pytest.raises(ValueError):
-        adapted_pair(mu, 2, b=np.array([-1.0, -1.0, 0.0, np.nan, 1.0]))
-    with pytest.raises(ValueError):
-        adapted_pair(mu, 2, b=np.sign(ns) + 0.5j)
 
 
 def test_adapted_pair_interior_measure():
     # measures supported away from the boundary still have positive moments
-    pair = adapted_pair(power_disk(-0.5, b=0.9), 16)
+    pair = adapted_pair(RadialMeasure(pieces=(RadialPiece(0.0, 0.9, 1.0, -0.5),)), 16)
     assert pair.a.shape == (33,) and np.all(np.isfinite(pair.a))
 
 

@@ -19,6 +19,7 @@ import pytest
 from carleson_lab.cli import EXIT_OK, main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+SCHEMA_PATH = os.path.join(GOLDEN_DIR, "..", "..", "schemas", "report.schema.json")
 RTOL = 1e-12
 CORPUS = ["--count", "4", "--n-max", "16", "--grid", "64"]
 
@@ -103,6 +104,15 @@ def test_golden_output(name):
         same(rows, [[csv_cell(c) for c in row] for row in csv.reader(io.StringIO(want))], name)
     else:
         same(json.loads(got), json.loads(want), name)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if golden_path(n).endswith(".json")))
+def test_golden_report_validates_against_schema(name):
+    jsonschema = pytest.importorskip("jsonschema")
+    with open(SCHEMA_PATH) as fh:
+        schema = json.load(fh)
+    with open(golden_path(name)) as fh:
+        jsonschema.validate(json.load(fh), schema)
 
 
 if __name__ == "__main__":

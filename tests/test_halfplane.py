@@ -296,7 +296,7 @@ def _admissible_instance(index, xi_max=8.0, d_xi=0.25, x_half=16.0, n_x=1024):
 def test_stability_ratio_below_explicit_constant():
     pi = lebesgue_halfplane()
     big_r = 5.0
-    bound = stability_constant(pi, big_r)
+    bound = stability_constant(pi.truncate(big_r))
     for i in range(3):
         f, g, h = _admissible_instance(i)
         assert stability_ratio(f, g, h, pi, big_r) <= bound + 1e-6
@@ -353,11 +353,9 @@ def test_stability_constant_value():
 def test_const_bpi():
     pi = lebesgue_halfplane()
     # C_b + sup|W| + 1 = 1 + pi/2 + 1
-    assert const_bpi(1.0, pi) == pytest.approx(math.sqrt(2.0 + math.pi / 2.0), abs=1e-10)
-    with pytest.raises(ValueError):
-        const_bpi(0.5, pi)
+    assert const_bpi(pi) == pytest.approx(math.sqrt(2.0 + math.pi / 2.0), abs=1e-10)
     bad = VerticalMeasure(pieces=(VerticalPiece(0.0, INF, 1.0, 1.0),))
-    assert math.isinf(const_bpi(1.0, bad))
+    assert math.isinf(const_bpi(bad))
 
 
 def test_laplace_two_convention_used_by_truncation_check():

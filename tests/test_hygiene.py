@@ -15,10 +15,13 @@ A public module-level function of the package, and each non-dunder
 method, classmethod and property of its classes, must be read somewhere
 a real caller lives: src/ (outside its own def), bench/, scripts/ or the
 acceptance criteria.  A name that only its own unit tests reach is code
-nobody needs.
+nobody needs.  In the same way each defaulted parameter of such a function
+must be passed, by keyword or at its position, by some real caller: an
+option that only tests set is an option nobody needs.
 """
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -103,30 +106,34 @@ def test_integrate_scan_flags_every_import_form(tmp_path):
     assert [p.split(":")[1] for p in scipy_imports(str(path))] == ["1", "2", "3", "4", "5"]
 
 
-def definitions(path: str) -> list[tuple[str, str]]:
-    """(label, name) of each public module-level function and each
-    non-dunder method, classmethod and property of a module-level class."""
+def definitions(path: str) -> list[tuple[str, ast.FunctionDef, bool]]:
+    """(label, def, is a method) of each public module-level function and
+    each non-dunder method, classmethod and property of a module-level class."""
     with open(path) as fh:
         tree = ast.parse(fh.read(), path)
     found = []
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            found.append((node.name, node.name))
+            found.append((node.name, node, False))
         elif isinstance(node, ast.ClassDef):
-            found += [(f"{node.name}.{f.name}", f.name) for f in node.body
+            found += [(f"{node.name}.{f.name}", f, True) for f in node.body
                       if isinstance(f, ast.FunctionDef) and not f.name.startswith("__")]
     return found
+
+
+def units(path: str) -> list[ast.AST]:
+    """The module's top-level statements, each class split into its body."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    return [unit for stmt in tree.body for unit in (
+        [*stmt.decorator_list, *stmt.bases, *stmt.body] if isinstance(stmt, ast.ClassDef) else [stmt])]
 
 
 def names_read(path: str) -> set[str]:
     """Every ast.Name and ast.Attribute read in the file, except a function's
     or method's own name read inside its body (recursion)."""
-    with open(path) as fh:
-        tree = ast.parse(fh.read(), path)
-    units = [unit for stmt in tree.body for unit in (
-        [*stmt.decorator_list, *stmt.bases, *stmt.body] if isinstance(stmt, ast.ClassDef) else [stmt])]
     found = set()
-    for unit in units:
+    for unit in units(path):
         names = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(unit)
                  if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
         if isinstance(unit, ast.FunctionDef):
@@ -135,11 +142,56 @@ def names_read(path: str) -> set[str]:
     return found
 
 
-def functions_without_callers() -> list[str]:
-    callers = list(python_files(("src", "bench", "scripts"))) + [
+def calls_made(path: str) -> dict[str, list[tuple[float, set]]]:
+    """name -> (positional argument count, keyword names) of each call of
+    that name in the file, except a function's or method's call of its own
+    name inside its body.  A *args counts as every position and a **kwargs
+    as every keyword (None)."""
+    found = {}
+    for unit in units(path):
+        for node in ast.walk(unit):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None or (isinstance(unit, ast.FunctionDef) and name == unit.name):
+                continue
+            count = math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+            found.setdefault(name, []).append((count, {k.arg for k in node.keywords}))
+    return found
+
+
+def defaulted_params(fn: ast.FunctionDef, is_method: bool) -> list[tuple[str, int | None]]:
+    """(name, position in a call) of each defaulted parameter; keyword-only
+    ones have no position, and a method's first parameter is bound."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args][int(is_method and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)):]
+    found = [(a.arg, i) for i, a in enumerate(positional)][len(positional) - len(args.defaults):]
+    return found + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def real_callers() -> list[str]:
+    return list(python_files(("src", "bench", "scripts"))) + [
         os.path.join(ROOT, "tests", "test_acceptance.py")]
-    read = set().union(*(names_read(path) for path in callers))
-    return [label for path in python_files(("src",)) for label, name in definitions(path) if name not in read]
+
+
+def functions_without_callers() -> list[str]:
+    read = set().union(*(names_read(path) for path in real_callers()))
+    return [label for path in python_files(("src",)) for label, fn, _ in definitions(path)
+            if fn.name not in read]
+
+
+def options_without_callers(sources=None, callers=None) -> list[str]:
+    calls = {}
+    for path in callers or real_callers():
+        for name, made in calls_made(path).items():
+            calls.setdefault(name, []).extend(made)
+    return [f"{label}({param})" for path in sources or python_files(("src",))
+            for label, fn, is_method in definitions(path)
+            for param, pos in defaulted_params(fn, is_method)
+            if not any(param in kws or None in kws or (pos is not None and pos < count)
+                       for count, kws in calls.get(fn.name, ()))]
 
 
 def test_public_functions_have_callers():
@@ -152,8 +204,22 @@ def test_caller_scan_sees_methods(tmp_path):
     path.write_text("class A:\n    def __len__(self): return 0\n    @property\n    def p(self): return 1\n"
                     "    @classmethod\n    def c(cls): return cls.c()\n    def _m(self): return self.p\n"
                     "def f(): return f()\n")
-    assert [label for label, name in definitions(str(path)) if name not in names_read(str(path))] == [
+    assert [label for label, fn, _ in definitions(str(path)) if fn.name not in names_read(str(path))] == [
         "A.c", "A._m", "f"]
+
+
+def test_public_options_have_callers():
+    missing = options_without_callers()
+    assert not missing, "options no caller passes: " + ", ".join(missing)
+
+
+def test_option_scan_counts_keywords_and_positions(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("class A:\n    def m(self, x, y=1, *, z=2): return self.m(x, y, z=z)\n"
+                    "    @staticmethod\n    def s(x=0): return x\n"
+                    "def f(a, b=1, c=2, d=3): return f(a, b, c, d)\ndef g(x=0): return x\n"
+                    "A().m(0, 1)\nA.s(5)\nf(0, 1, c=1)\ng(*[])\n")
+    assert options_without_callers([str(path)], [str(path)]) == ["A.m(z)", "f(d)"]
 
 
 CLI_SCRIPT = """
@@ -167,7 +233,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 segment = measures.RadialMeasure(pieces=((0.2, 0.6, 3.0, 0.5, 2.0), (0.1, 0.95, 1.0, 0.7, 0.5)))
 measures.moment_array(segment, 40)
 segment.tail_mass([0.1, 0.5])
-norms.poisson_sup(measures.power_disk(0.7, b=0.9))
+norms.poisson_sup(measures.RadialMeasure(pieces=((0.0, 0.9, 1.0, 0.7),)))
 norms.analyze_w_sigma_errors(measures.power_disk(0.5), 512, 16)
 pi = measures.VerticalMeasure(pieces=(measures.VerticalPiece(1.0, 2.0, 1.0, -2.5),
                                       measures.VerticalPiece(0.0, 3.0, 1.0, 0.5)))

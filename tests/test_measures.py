@@ -97,6 +97,30 @@ def test_measure_rejects_nan_atom(measure, x):
         measure(atoms=((x, math.nan),))
 
 
+@pytest.mark.parametrize("piece, fields, names", [(RadialPiece, (0.2, 0.8, 1.0, 0.5, 1.0), "cpq"),
+                                                  (VerticalPiece, (0.5, 2.0, 1.0, -3.0), "cp"),
+                                                  (LinePiece, (0.5, 2.0, 1.0, -3.0), "cp")])
+def test_piece_rejects_infinite_c_p_q(piece, fields, names):
+    # p = inf made halfplane._kernel loop for ever (q += 2 from q = -inf)
+    for name in names:
+        k = "abcpq".index(name)
+        for value in (INF, -INF):
+            with pytest.raises(ValueError, match=f" {name} must"):
+                piece(*fields[:k], value, *fields[k + 1:])
+    # piece ends keep +-inf where the docstrings allow it
+    VerticalPiece(0.5, INF, 1.0, -3.0)
+    LinePiece(-INF, INF, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("measure, x", [(RadialMeasure, 0.5), (VerticalMeasure, 1.0), (LineMeasure, 1.0)])
+def test_measure_rejects_infinite_atom(measure, x):
+    for value in (INF, -INF):
+        with pytest.raises(ValueError, match=f"atom position {measure.POSITION} must be finite"):
+            measure(atoms=((value, 1.0),))
+        with pytest.raises(ValueError, match="atom weight w must be positive and finite"):
+            measure(atoms=((x, value),))
+
+
 # ---------------------------------------------------------------------------
 # moments
 
@@ -117,7 +141,7 @@ def test_moments_one_minus_r_closed_form():
 
 
 def test_moments_atom():
-    sig = moment_array(atom_disk(0.5, 2.0), 3)
+    sig = moment_array(RadialMeasure(atoms=((0.5, 2.0),)), 3)
     assert sig[0] == pytest.approx(2.0, abs=1e-15)
     assert sig[3] == pytest.approx(2.0 * 0.5**6, rel=1e-15)
 
@@ -239,7 +263,7 @@ def test_moments_fall_back_where_the_downward_run_overflows():
 def test_moments_where_betainc_underflows():
     # I_0.6(2n+1, 1.5) underflows from n ~ 630 on; those rows come from the
     # continued fraction in one call, not from a quadrature per row
-    mu = power_disk(0.5, b=0.6)
+    mu = RadialMeasure(pieces=(RadialPiece(0.0, 0.6, 1.0, 0.5),))
     t0 = time.perf_counter()
     ls = log_moment_array(mu, 2048)
     elapsed = time.perf_counter() - t0
@@ -316,7 +340,7 @@ def test_radial_carleson_power_family():
     ratio, ok = radial_carleson(power_disk(-0.5))
     assert not ok and math.isinf(ratio)
     # truncated away from the boundary the same density is Carleson again
-    assert radial_carleson(power_disk(-0.5, b=0.9))[1]
+    assert radial_carleson(RadialMeasure(pieces=(RadialPiece(0.0, 0.9, 1.0, -0.5),)))[1]
 
 
 def test_singular_integral_closed_forms():
@@ -328,7 +352,7 @@ def test_singular_integral_closed_forms():
 
 
 def test_singular_integral_truncated_piece_finite():
-    val = singular_integral(power_disk(0.0, b=0.5))
+    val = singular_integral(RadialMeasure(pieces=(RadialPiece(0.0, 0.5, 1.0, 0.0),)))
     # 2*pi * atanh(0.5) = pi * ln 3
     assert val == pytest.approx(math.pi * math.log(3.0), rel=1e-12)
 

@@ -228,8 +228,8 @@ def test_poisson_sup_matches_mpmath(pc):
 
 
 def test_default_theta_grid_range():
-    g = default_theta_grid(128)
-    assert g.min() > 0.0 and g.max() < math.pi
+    g = default_theta_grid()
+    assert g.size == 2048 and g.min() > 0.0 and g.max() < math.pi
     assert np.all(np.diff(g) > 0)
 
 
