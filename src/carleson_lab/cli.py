@@ -32,7 +32,6 @@ from .measures import (
     LineMeasure,
     RadialMeasure,
     VerticalMeasure,
-    encode_inf,
     lebesgue_disk,
     lebesgue_halfplane,
     lebesgue_line,
@@ -94,6 +93,11 @@ def resolve_measure(name: str, kind: str):
         return cls.from_dict(doc)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{where}: {exc}") from exc
+
+
+def encode_inf(x):
+    """+-inf as "inf" / "-inf", which JSON can carry and float reads back."""
+    return str(x) if isinstance(x, float) and math.isinf(x) else x
 
 
 def emit(report: dict, args) -> None:

@@ -42,22 +42,17 @@ def _unit(u: CoeffVector) -> CoeffVector:
     return CoeffVector(u.n_max, u.coeffs / l2_norm(u))
 
 
-def adapted_ineq_ratio(u: CoeffVector, mu: RadialMeasure, pair: AdaptedPair | None = None,
+def adapted_ineq_ratio(u: CoeffVector, mu: RadialMeasure, pair: AdaptedPair,
                        m: int = 512, tol: float = 1e-3, max_iters: int = 40_000) -> float:
     """||u||_2 / (||T_a u||_{sum} + ||T_b T_a u||_{sum}) for an adapted pair
-    (a, b); scale-invariant by homogeneity.  The default pair has b = sgn,
-    so T_b = H and T_a is the moment-normalizing multiplier: the
-    Bourgain-Brezis-type ratio."""
+    (a, b) of u's degree; scale-invariant by homogeneity.  With the default
+    pair (adapted_pair), b = sgn, so T_b = H and T_a is the
+    moment-normalizing multiplier: the Bourgain-Brezis-type ratio."""
     if u.is_zero():
         raise ValueError("ratio undefined for u = 0")
-    if pair is None:
-        pair = adapted_pair(mu, u.n_max)
-    if pair.n_max < u.n_max:
-        raise ValueError("adapted pair degree too small for the input")
-    modes = slice(pair.n_max - u.n_max, pair.n_max + u.n_max + 1)
     u = _unit(u)
-    v = multiplier(u, pair.a[modes])
-    w = multiplier(v, pair.b[modes])
+    v = multiplier(u, pair.a)
+    w = multiplier(v, pair.b)
     den = sum_norm(v, mu, m=m, tol=tol, max_iters=max_iters).upper \
         + sum_norm(w, mu, m=m, tol=tol, max_iters=max_iters).upper
     return l2_norm(u) / den

@@ -10,15 +10,16 @@ relative accuracy.  A tail of a piece reaching r = 1 is taken in delta
 itself.  A Laplace transform of a piece with p <= -1 is a difference of
 upper incomplete gammas of negative order, lifted to positive order by the
 recurrence of DLMF 8.8.2.  The singular integral is closed form for atoms
-and a fixed composite Gauss(-Jacobi) rule for pieces; that rule's panel
-layout is shared with norms.poisson_sup.  No adaptive quadrature runs
-anywhere in the package.
+and, for pieces, a fixed composite Gauss(-Jacobi) rule in r (_radial_rule),
+which norms.w_sigma shares below r = 1/2.  _panel_nodes, the one map from
+a panel layout to nodes and weights, serves that rule and norms.poisson_sup.
+No adaptive quadrature runs anywhere in the package.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -213,11 +214,6 @@ def _log_moments_below(q: float, p: float, b: float, n_max: int) -> np.ndarray:
     return np.concatenate(runs) + (q + 2.0 * np.arange(n_max + 1) + 1.0) * log_b
 
 
-def encode_inf(x):
-    """+-inf as "inf" / "-inf", which JSON can carry and float reads back."""
-    return str(x) if isinstance(x, float) and math.isinf(x) else x
-
-
 @dataclass(frozen=True)
 class _Measure:
     """Atoms (position, weight) plus power-law pieces.  A subclass names its
@@ -258,12 +254,6 @@ class _Measure:
                 raise ValueError(f"missing key {missing[0]!r}; required: {', '.join(required)}")
         return cls(tuple((float(a[cls.POSITION]), float(a["w"])) for a in atoms),
                    tuple(cls.PIECE(**{k: float(v) for k, v in p.items()}) for p in pieces))
-
-    def to_dict(self) -> dict:
-        return {
-            "atoms": [{self.POSITION: x, "w": w} for x, w in self.atoms],
-            "pieces": [{k: encode_inf(v) for k, v in asdict(p).items()} for p in self.pieces],
-        }
 
 
 @dataclass(frozen=True)
@@ -387,7 +377,7 @@ def power_integral(e: float, lo, hi) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# fixed composite rules (singular_integral here, poisson_sup in norms)
+# fixed composite rules (singular_integral here, poisson_sup and w_sigma in norms)
 
 _PANEL_ORDER = 16  # Gauss nodes per panel
 _MAX_GRADING = 40  # most geometric panels toward an end of a piece
@@ -420,20 +410,57 @@ def _grading_depth(dist, width) -> int:
     return int(np.clip(np.ceil(np.max(need)), 0, _MAX_GRADING))
 
 
-def _panel_segments(panels: int, ends) -> list:
-    """The segments (from_a, t0, t1, rule) of a composite rule on a piece
-    [a, b] cut into `panels` panels of width h: the segment covers offsets
-    [t0*h, t1*h] from a (from_a) or from b, so that distances to either end
-    never cancel.  Inner panels get plain Gauss; for each (from_a, depth,
-    exponent) in ends, the end panel is cut geometrically by ratio 1/4
-    depth times and its last piece gets Gauss-Jacobi with weight
-    offset^exponent (_jacobi_rule)."""
+@lru_cache(maxsize=64)
+def _unit_nodes(panels: int, ends) -> tuple:
+    """(offsets, weights, n_a) of _panel_nodes in units of the panel width,
+    the first n_a offsets from a, the rest from b.  Inner panels get plain
+    Gauss; ends holds (depth, exponent) for the end at a and, unless panels
+    = 1, for the end at b, whose end panel is cut by ratio 1/4 depth times
+    and its last piece gets Gauss-Jacobi with weight offset^exponent."""
     gauss = _jacobi_rule(0.0)
-    segs = [(True, k, k + 1, gauss) for k in range(1, panels - 1)]
-    for from_a, depth, exponent in ends:
-        segs += [(from_a, 4.0 ** -(j + 1), 4.0 ** -j, gauss) for j in range(depth)]
-        segs.append((from_a, 0.0, 4.0 ** -depth, _jacobi_rule(exponent)))
-    return segs
+    t0, t1 = [np.arange(1.0, panels - 1.0)], [np.arange(2.0, panels)]  # panel k covers [t0*h, t1*h]
+    rules = [gauss] * (panels - 2)
+    for depth, exponent in ends:
+        t = 4.0 ** -np.arange(depth + 1.0)
+        t0 += [t[1:], [0.0]]
+        t1.append(t)
+        rules += [gauss] * depth + [_jacobi_rule(exponent)]
+    t0, t1 = np.concatenate(t0)[:, None], np.concatenate(t1)[:, None]
+    x, w = np.array([x for x, _ in rules]), np.array([w for _, w in rules])
+    n_a = _PANEL_ORDER * (max(panels - 2, 0) + ends[0][0] + 1)
+    return (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * x).ravel(), (0.5 * (t1 - t0) * w).ravel(), n_a
+
+
+def _panel_nodes(panels: int, ends, length):
+    """(above_a, below_b, weights) of the composite rule of _unit_nodes on a
+    piece [a, b] of the given length (a float, or a column of lengths, one
+    row of nodes each): the package's one map from a panel layout to each
+    node's offsets from a and from b and its weight.  Each offset is taken
+    from the node's own end, so that neither cancels near that end."""
+    unit, unit_w, n_a = _unit_nodes(panels, tuple(ends))
+    h = length / panels
+    off = unit * h
+    far = length - off
+    return (np.concatenate((off[..., :n_a], far[..., n_a:]), axis=-1),
+            np.concatenate((far[..., :n_a], off[..., n_a:]), axis=-1), unit_w * h)
+
+
+def _radial_rule(a: float, b: float, c: float, p: float, q: float, panels: int):
+    """Nodes r and weights of int_a^b f(r) c*(1-r)^p*r^q dr on `panels`
+    panels (_panel_nodes).  Where [a, b] reaches r = 0 or r = 1 its end
+    panel is Gauss-Jacobi with weight r^q or (1-r)^p; where one of them
+    lies just beyond an end and its power is not a polynomial there, the
+    end panel is graded geometrically toward it.  A one-panel rule treats
+    the a end alone.  r - a and 1 - r come from offsets from the two ends,
+    exact at either."""
+    length = b - a
+    h = length / panels
+    depth_a = 0 if a <= 0.0 or q == int(q) else _grading_depth(a, h)
+    depth_b = 0 if b >= 1.0 or (p == int(p) and p >= 0.0) else _grading_depth(1.0 - b, h)
+    ends = ((depth_a, q if a <= 0.0 else 0.0), (depth_b, p if b >= 1.0 else 0.0))
+    above_a, below_b, w = _panel_nodes(panels, ends[:panels], length)
+    r = a + above_a
+    return r, c * w * (1.0 - b + below_b) ** p * r**q
 
 
 # ---------------------------------------------------------------------------
@@ -508,44 +535,17 @@ def radial_carleson(mu: RadialMeasure):
 def singular_integral(mu: RadialMeasure) -> float:
     """2*pi * int sigma(dr)/(1-r^2); +inf when a boundary piece has p <= 0.
 
-    Atoms in closed form, each piece by a fixed composite 16-point
-    Gauss(-Jacobi) rule in r (_singular_piece); no adaptive quadrature."""
-    for pc in mu.pieces:
-        if pc.b >= 1.0 and pc.p <= 0.0:
-            return INF
+    Atoms in closed form; a piece as int f(r) c*(1-r)^(p-1)*r^q dr with
+    f = 1/(1+r), by _radial_rule on panels narrow enough that (|p-1| + q)
+    times their width stays within _PANEL_RATE; no adaptive quadrature."""
+    if any(pc.b >= 1.0 and pc.p <= 0.0 for pc in mu.pieces):
+        return INF
     total = sum(w / (1.0 - r * r) for r, w in mu.atoms)
-    total += sum(_singular_piece(pc) for pc in mu.pieces)
+    for pc in mu.pieces:
+        panels = max(2, math.ceil((pc.b - pc.a) * (abs(pc.p - 1.0) + pc.q) / _PANEL_RATE))
+        r, w = _radial_rule(pc.a, pc.b, pc.c, pc.p - 1.0, pc.q, panels)
+        total += float(np.sum(w / (1.0 + r)))
     return 2.0 * math.pi * total
-
-
-def _singular_piece(pc: RadialPiece) -> float:
-    """int_a^b c*(1-r)^(p-1)*r^q/(1+r) dr, the piece's share of the singular
-    integral, by a fixed composite Gauss(-Jacobi) rule.
-
-    The branch points r = 1 and r = 0 of the density are handled as in
-    norms.poisson_sup: where the piece reaches one (b = 1, a = 0) its end
-    panel is Gauss-Jacobi with weight (1-r)^(p-1) or r^q; where one lies
-    just beyond an end, the end panel is graded geometrically toward it.
-    The panels are narrow enough that (|p-1| + q) times their width stays
-    within _PANEL_RATE.  r - a and 1 - r come from offsets from the two
-    ends, exact at either."""
-    length = pc.b - pc.a
-    panels = max(2, math.ceil(length * (abs(pc.p - 1.0) + pc.q) / _PANEL_RATE))
-    h = length / panels
-    smooth_p = pc.p == int(pc.p) and pc.p >= 1.0
-    smooth_q = pc.q == int(pc.q)
-    depth_a = 0 if pc.a <= 0.0 or smooth_q else _grading_depth(pc.a, h)
-    depth_b = 0 if pc.b >= 1.0 or smooth_p else _grading_depth(1.0 - pc.b, h)
-    total = 0.0
-    for from_a, t0, t1, (x, w) in _panel_segments(
-            panels, ((True, depth_a, pc.q if pc.a <= 0.0 else 0.0),
-                     (False, depth_b, pc.p - 1.0 if pc.b >= 1.0 else 0.0))):
-        off = (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * x) * h
-        above_a, below_b = (off, length - off) if from_a else (length - off, off)
-        r = pc.a + above_a
-        dens = (1.0 - pc.b + below_b) ** (pc.p - 1.0) * r**pc.q / (1.0 + r)
-        total += 0.5 * (t1 - t0) * h * float(dens @ w)
-    return pc.c * total
 
 
 def vertical_carleson(pi: VerticalMeasure):

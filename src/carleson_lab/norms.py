@@ -5,10 +5,10 @@ bounded weight w_sigma, and the Poisson-sup functional.
 poisson_sup and w_sigma share one evaluation of the Poisson integral over
 a theta grid (_poisson_values): closed forms for atoms and for pieces of
 density c or c*r, and for other pieces a fixed composite Gauss(-Jacobi)
-rule in a variable that flattens the Poisson kernel, on the panel layout
-it shares with measures.singular_integral.  w_sigma is that integral in
-s = r^2, except below r = 1/2 where it takes a fixed rule in r;
-analyze_w_sigma_errors subtracts the cusp of w_sigma at theta = 0 before
+rule in a variable that flattens the Poisson kernel, its nodes from
+measures._panel_nodes.  w_sigma is that integral in s = r^2, except below
+r = 1/2 where it takes measures._radial_rule, the singular integral's rule
+in r; analyze_w_sigma_errors subtracts the cusp of w_sigma at theta = 0 before
 its Fourier analysis.  No adaptive quadrature runs here.
 """
 
@@ -20,8 +20,8 @@ import warnings
 import numpy as np
 
 from .fourier import CoeffVector, GridFunction, analyze
-from .measures import (INF, RadialMeasure, RadialPiece, _grading_depth, _panel_segments, moment_array,
-                       radial_carleson)
+from .measures import (INF, RadialMeasure, RadialPiece, _grading_depth, _panel_nodes, _radial_rule,
+                       moment_array, radial_carleson)
 
 
 def l2_norm(u: CoeffVector) -> float:
@@ -49,21 +49,8 @@ def a2_norm(u: CoeffVector, mu: RadialMeasure) -> float:
     return hmu_norm(u, mu)
 
 
-_THETA_BLOCK = 256  # theta values per block in _poisson_values, to bound its node arrays
+_THETA_BLOCK = 128  # thetas per _poisson_values block: typical node arrays stay under 128 kB (256 ran ~20% slower)
 _ROOT_SPLIT = 0.5  # w_sigma takes [a, 1/2) of a piece with p != 0 in r, the rest in s = r^2
-
-
-def _near_origin_rule(pc, b: float):
-    """Nodes r and weights of int_a^b f(r) c*(1-r)^p*r^q dr: one Gauss(-Jacobi)
-    panel, weight r^q at a = 0, graded toward r = 0 when a > 0 is near it and
-    q is not an integer.  For b <= 1/2 the poles r = +-e^{+-i theta/2} of
-    w_sigma's kernel stay at least 1/2 away from [a, b]."""
-    h = b - pc.a
-    depth = 0 if pc.a <= 0.0 or pc.q == int(pc.q) else _grading_depth(pc.a, h)
-    segs = _panel_segments(1, ((True, depth, pc.q if pc.a <= 0.0 else 0.0),))
-    r = np.concatenate([pc.a + (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * x) * h for _, t0, t1, (x, _) in segs])
-    wts = np.concatenate([0.5 * (t1 - t0) * h * w for _, t0, t1, (_, w) in segs])
-    return r, pc.c * wts * (1.0 - r) ** pc.p * r**pc.q
 
 
 def w_sigma(mu: RadialMeasure, m: int) -> GridFunction:
@@ -77,7 +64,8 @@ def w_sigma(mu: RadialMeasure, m: int) -> GridFunction:
     an atom w at r becomes w*r^2 at r^2, and c*(1-r)^p*r^q dr on [a, b)
     becomes (c/2)*(1-s)^p*s^((q+1)/2)*(1+sqrt s)^(-p) ds on [a^2, b^2).  A
     piece with p != 0 takes its part below r = 1/2, where sqrt(s) is not
-    smooth, by _near_origin_rule in r instead.  w_sigma is odd about
+    smooth, in r instead, by a one-panel _radial_rule: there the poles
+    r = +-e^{+-i theta/2} of the kernel stay at least 1/2 away.  w_sigma is odd about
     theta = pi, so only theta in (0, pi) is evaluated.
     """
     _, ok = radial_carleson(mu)
@@ -95,7 +83,7 @@ def w_sigma(mu: RadialMeasure, m: int) -> GridFunction:
     for pc in mu.pieces:
         a = pc.a
         if pc.p != 0.0 and a < _ROOT_SPLIT:
-            r, wts = _near_origin_rule(pc, min(pc.b, _ROOT_SPLIT))
+            r, wts = _radial_rule(pc.a, min(pc.b, _ROOT_SPLIT), pc.c, pc.p, pc.q, 1)
             atoms += zip(r * r, wts * r * r)
             a = _ROOT_SPLIT
         if pc.b > a:
@@ -161,6 +149,7 @@ def _poisson_piece(pc, s: np.ndarray, half_cos: np.ndarray, root_p: float = 0.0)
     weight (v_b - v)^p or (v - v_a)^q; just beyond an end the end panel is
     graded geometrically toward it.  r - a and b - r come from sinh
     differences of offsets, exact at either end."""
+    s, half_cos = s[:, None], half_cos[:, None]  # a row of nodes per theta
     da = pc.a - 1.0 + half_cos  # a - cos(theta) without cancellation near 1
     db = pc.b - 1.0 + half_cos
     va, vb = np.arcsinh(da / s), np.arcsinh(db / s)
@@ -173,21 +162,14 @@ def _poisson_piece(pc, s: np.ndarray, half_cos: np.ndarray, root_p: float = 0.0)
         _grading_depth(np.arcsinh(half_cos / s) - vb, h)
     depth_a = 0 if pc.a <= 0.0 or smooth_q else \
         _grading_depth(va - np.arcsinh((half_cos - 1.0) / s), h)
-    total = np.zeros(s.shape)
-    for from_a, t0, t1, (x, w) in _panel_segments(
-            panels, ((True, depth_a, pc.q if pc.a <= 0.0 else 0.0),
-                     (False, depth_b, pc.p if pc.b >= 1.0 else 0.0))):
-        off = (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * x) * h[:, None]
-        dva, dvb = (off, length[:, None] - off) if from_a else (length[:, None] - off, off)
-        v = va[:, None] + dva
-        above_a = 2.0 * s[:, None] * np.cosh(va[:, None] + 0.5 * dva) * np.sinh(0.5 * dva)
-        below_b = 2.0 * s[:, None] * np.cosh(vb[:, None] - 0.5 * dvb) * np.sinh(0.5 * dvb)
-        r = pc.a + above_a
-        dens = (1.0 - pc.b + below_b) ** pc.p * r**pc.q / np.cosh(v)
-        if root_p:
-            dens *= (1.0 + np.sqrt(r)) ** -root_p
-        total += 0.5 * (t1 - t0) * h * (dens @ w)
-    return pc.c * total
+    dva, dvb, w = _panel_nodes(panels, ((depth_a, pc.q if pc.a <= 0.0 else 0.0),
+                                        (depth_b, pc.p if pc.b >= 1.0 else 0.0)), length)
+    r = pc.a + 2.0 * s * np.cosh(va + 0.5 * dva) * np.sinh(0.5 * dva)
+    below_b = 2.0 * s * np.cosh(vb - 0.5 * dvb) * np.sinh(0.5 * dvb)
+    dens = (1.0 - pc.b + below_b) ** pc.p * r**pc.q / np.cosh(va + dva)
+    if root_p:
+        dens *= (1.0 + np.sqrt(r)) ** -root_p
+    return pc.c * np.vecdot(dens, w)
 
 
 def _trig(theta: np.ndarray):

@@ -159,7 +159,7 @@ def _prox_weighted_l2(v: np.ndarray, d2: np.ndarray, inv_d2: np.ndarray, t: floa
 def sum_norm(
     u: CoeffVector,
     mu: RadialMeasure,
-    m: int | None = None,
+    m: int,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> CertifiedNorm:
@@ -175,8 +175,6 @@ def sum_norm(
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     n_max = u.n_max
-    if m is None:
-        m = 1 << max(3, int(math.ceil(math.log2(max(4 * n_max, 8)))))
     if m < 2 * n_max + 1:
         raise ValueError(f"m={m} too small for degree {n_max}")
 

@@ -31,7 +31,6 @@ from carleson_lab.measures import (
     atom_disk,
     atom_halfplane,
     lebesgue_disk,
-    lebesgue_line,
 )
 from carleson_lab.sumnorm import sum_norm
 
@@ -352,12 +351,12 @@ def test_power_pieces_at_or_near_p_minus_one_match_mpmath(tmp_path, command, p, 
 
 def test_measure_file_round_trip(tmp_path):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(atom_disk(0.75).to_dict()))
+    path.write_text(json.dumps({"atoms": [{"r": 0.75, "w": 1.0}]}))
     code, text = run_cli(tmp_path, "carleson", "--measure", str(path))
     assert code == EXIT_OK
     assert json.loads(text)["results"]["sup_ratio"] == pytest.approx(4.0)
-    # a line measure file reads back to the results of the builtin it was written from
-    path.write_text(json.dumps(lebesgue_line().to_dict()))
+    # a line measure file of the builtin lebesgue-line reads back to its results
+    path.write_text(json.dumps({"pieces": [{"a": "-inf", "b": "inf", "c": 1.0, "p": 0.0}]}))
     reports = [json.loads(run_cli(tmp_path, "garnett", *argv)[1])
                for argv in (["--measure", str(path)], [])]
     assert reports[0]["results"] == reports[1]["results"]

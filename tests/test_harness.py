@@ -24,7 +24,7 @@ FAST = dict(m=64, tol=1e-3, max_iters=20_000)
 
 def test_ratio_rejects_zero(lebesgue):
     with pytest.raises(ValueError):
-        adapted_ineq_ratio(zero_vector(4), lebesgue)
+        adapted_ineq_ratio(zero_vector(4), lebesgue, adapted_pair(lebesgue, 4))
     with pytest.raises(ValueError):
         embedding_ratio(zero_vector(4), lebesgue)
 
@@ -42,18 +42,19 @@ def test_adapted_pair_degree_guard(lebesgue):
 
 def test_scale_invariance_exact(lebesgue):
     u = random_poly(42, 7, 8)
-    base = adapted_ineq_ratio(u, lebesgue, **FAST)
+    pair = adapted_pair(lebesgue, 8)
+    base = adapted_ineq_ratio(u, lebesgue, pair, **FAST)
     for lam in (4.0, 0.125, -1.0):
-        assert adapted_ineq_ratio(CoeffVector(8, lam * u.coeffs), lebesgue, **FAST) == base
+        assert adapted_ineq_ratio(CoeffVector(8, lam * u.coeffs), lebesgue, pair, **FAST) == base
 
 
 def test_default_pair_matches_bbb(lebesgue):
-    # the bbb ratio is the adapted ratio with the default pair (b = sgn, so
-    # T_b = H); a pair of higher degree acts through its modes |n| <= 8
-    u = random_poly(42, 3, 8)
-    bbb = adapted_ineq_ratio(u, lebesgue, **FAST)
-    assert adapted_ineq_ratio(u, lebesgue, adapted_pair(lebesgue, 8), **FAST) == bbb
-    assert adapted_ineq_ratio(u, lebesgue, adapted_pair(lebesgue, 12), **FAST) == bbb
+    # the bbb ratio (corpus_scan's "adapted" kind) is the adapted ratio with
+    # the default pair, whose b = sgn makes T_b the Hilbert transform H
+    pair = adapted_pair(lebesgue, 8)
+    assert np.array_equal(pair.b, np.sign(np.arange(-8, 9)))
+    rep = corpus_scan(lebesgue, 4, seed=42, n_max=8, **FAST)
+    assert adapted_ineq_ratio(random_poly(42, 3, 8), lebesgue, pair, **FAST) == rep.ratios[3]
 
 
 def test_embedding_ratio_at_least_one(lebesgue):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from carleson_lab.fourier import (
     CoeffVector,
+    adapted_pair,
     multiplier,
     synthesize,
 )
@@ -248,7 +249,7 @@ def test_oracle_equivalence_small_instances():
 
 def test_ratio_scale_invariance():
     mu = lebesgue_disk()
-    fast = dict(m=32, tol=1e-3, max_iters=20_000)
+    fast = dict(pair=adapted_pair(mu, 4), m=32, tol=1e-3, max_iters=20_000)
     for i in range(N_CASES):
         u = random_poly(42, i, 4)
         base = adapted_ineq_ratio(u, mu, **fast)

@@ -91,7 +91,7 @@ def reference_oracle(u: CoeffVector, mu: RadialMeasure, m: int) -> float:
 
 
 def test_zero_input(lebesgue):
-    cert = sum_norm(zero_vector(3), lebesgue)
+    cert = sum_norm(zero_vector(3), lebesgue, m=8)
     assert cert.upper == 0.0 and cert.lower == 0.0 and cert.converged
 
 
@@ -399,11 +399,11 @@ def test_monotone_in_weight(lebesgue):
 def test_input_validation(lebesgue):
     u = basis_vector(4)
     with pytest.raises(ValueError):
-        sum_norm(u, lebesgue, tol=0.0)
+        sum_norm(u, lebesgue, m=16, tol=0.0)
     with pytest.raises(ValueError):
         sum_norm(u, lebesgue, m=4)
     with pytest.raises(ValueError):
-        sum_norm(u, lebesgue, max_iters=0)
+        sum_norm(u, lebesgue, m=16, max_iters=0)
 
 
 def test_to_dict(lebesgue):
