@@ -437,7 +437,7 @@ def _panel_nodes(panels: int, ends, length):
     row of nodes each): the package's one map from a panel layout to each
     node's offsets from a and from b and its weight.  Each offset is taken
     from the node's own end, so that neither cancels near that end."""
-    unit, unit_w, n_a = _unit_nodes(panels, tuple(ends))
+    unit, unit_w, n_a = _unit_nodes(panels, ends)
     h = length / panels
     off = unit * h
     far = length - off
