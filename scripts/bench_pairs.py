@@ -20,6 +20,10 @@ quartiles, the pairs the change won and a verdict:
               than the parent's interquartile range;
   same        none of the above.
 
+Below each workload's table it prints, per op kind, each side's median of
+the seconds that kind took in a run (bench/run.py's `# seconds_by_op`
+line) and the change/parent ratio, which shows where time moved.
+
 The script reads `bench/` and BENCHMARK.json of the trees it unpacks and
 writes nothing into the repository; --out writes every run and summary.
 """
@@ -39,6 +43,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GAIN_WINS = 0.9  # share of pairs the change must win for a gain
+OPS_LINE = "# seconds_by_op "  # bench/run.py's line of seconds per op kind
 
 
 def quartiles(vals: list[float]) -> tuple[float, float, float]:
@@ -87,12 +92,34 @@ def unpack(rev: str, dest: str) -> str:
     return dest
 
 
+def parse_run(stdout: str) -> dict:
+    """The final JSON line of one bench/run.py stdout, with its seconds per
+    op kind from the `# seconds_by_op` line ({} without one) added as
+    "seconds_by_op"."""
+    lines = stdout.strip().splitlines()
+    run = json.loads(lines[-1])
+    run["seconds_by_op"] = next((json.loads(line[len(OPS_LINE):]) for line in lines
+                                 if line.startswith(OPS_LINE)), {})
+    return run
+
+
+def op_seconds(base: list[dict], head: list[dict]) -> dict:
+    """Per op kind of either side's runs: each side's median seconds (a run
+    without the kind counts 0) and the ratio head/base (inf over a 0 base)."""
+    out = {}
+    for kind in sorted({k for r in base + head for k in r["seconds_by_op"]}):
+        b, h = (statistics.median(r["seconds_by_op"].get(kind, 0.0) for r in runs)
+                for runs in (base, head))
+        out[kind] = {"base": b, "head": h, "ratio": h / b if b else math.inf}
+    return out
+
+
 def bench_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced bench/run.py in tree; returns its final JSON line."""
+    """One untraced bench/run.py in tree; returns parse_run of its stdout."""
     out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                          cwd=tree, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    return parse_run(out)
 
 
 def main(argv=None) -> int:
@@ -124,7 +151,7 @@ def main(argv=None) -> int:
                               f"{k}={v['value']:.6g}" for k, v in run["metrics"].items()),
                           flush=True)
 
-    summary = {}
+    summary, by_op = {}, {}
     print(f"{'workload':8s} {'metric':12s} {'base median [q1, q3]':>30s} "
           f"{'head median [q1, q3]':>30s} {'wins':>6s}  verdict")
     for w in args.workloads:
@@ -137,6 +164,10 @@ def main(argv=None) -> int:
             base, head = (f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (v["base"], v["head"]))
             print(f"{w:8s} {name:12s} {base:>30s} {head:>30s} "
                   f"{v['wins']:>3d}/{v['pairs']:<2d}  {v['verdict']}")
+        by_op[w] = op_seconds(runs[w]["base"], runs[w]["head"])
+        for kind, v in by_op[w].items():
+            print(f"# {w} {kind}: base {v['base']:.4g} s, head {v['head']:.4g} s, "
+                  f"head/base {v['ratio']:.3f}")
         for side in ("base", "head"):
             bad = [r for r in runs[w][side] if not r["correct"]]
             if bad:
@@ -144,7 +175,8 @@ def main(argv=None) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             json.dump({"base": args.base, "head": args.head, "seed": args.seed,
-                       "seconds": args.seconds, "runs": runs, "summary": summary}, fh, indent=1)
+                       "seconds": args.seconds, "runs": runs, "summary": summary,
+                       "seconds_by_op": by_op}, fh, indent=1)
     return 0
 
 

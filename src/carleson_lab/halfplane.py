@@ -119,6 +119,7 @@ def _cvz_weights(n: int) -> np.ndarray:
 _PRIMITIVE_TERMS = 22  # 2/(3+sqrt 8)^22 < 3e-17
 _PRIMITIVE_WEIGHTS = _cvz_weights(_PRIMITIVE_TERMS)
 _PRIMITIVE_K2 = 2.0 * np.arange(_PRIMITIVE_TERMS)
+_MAX_LIFTS = 1000  # most lifts t^q -> t^(q+2) of one part of G_p
 
 
 def _primitive_sum(e, t: np.ndarray) -> np.ndarray:
@@ -155,8 +156,11 @@ def _kernel(p: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     heads, es = ([], []), []
     for q, th, tl, hs in ((p, t[0], t[1], heads[0]), (-p, t[2], t[3], heads[1])):
         while q < 0.0:
+            if len(hs) == _MAX_LIFTS:
+                raise ValueError(f"G_p needs more than {_MAX_LIFTS} lifts at p={p:g}")
             hs.append(power_integral(q + 1.0, tl, th))
-            q += 2.0
+            # a lift that is +inf or 0 everywhere makes the part so too: stop lifting
+            q = q + 2.0 if np.any((hs[-1] > 0.0) & (hs[-1] < INF)) else 0.0
         es.append(q + 1.0)
     inner = (t > 0.0) & (t < 1.0)
     ti = np.concatenate(((1.0,), t[inner], (1.0,)))
@@ -183,6 +187,8 @@ def _lorentz(atoms, ranges, s: np.ndarray) -> np.ndarray:
         out += w * s / (t * t + s * s)
     for c, p, lo, hi in ranges:
         out += c * s**p * _kernel(p, lo / s, hi / s)
+        if np.isnan(out).any():  # s^p and G_p under- and overflow against each other
+            raise ValueError(f"y^p on ({lo:g}, {hi:g}) leaves the double range at p={p:g}")
     return out
 
 

@@ -56,12 +56,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .fourier import CoeffVector, GridFunction, analyze, synthesize
 from .measures import RadialMeasure, moment_array
-from .norms import hmu_norm
 
 DEFAULT_TOL = 1e-5
 DEFAULT_MAX_ITERS = 200_000
@@ -98,10 +98,18 @@ class CertifiedNorm:
         }
 
 
-def _weights(mu: RadialMeasure, n_max: int) -> np.ndarray:
-    """d_n = sqrt(2*pi*sigma_|n|) for |n| <= n_max, indexed by n + n_max."""
-    sig = moment_array(mu, n_max)
-    return np.sqrt(2.0 * math.pi * sig[np.abs(np.arange(-n_max, n_max + 1))])
+@lru_cache(maxsize=256)
+def _plan(mu: RadialMeasure, n_max: int, m: int):
+    """sigma_|n|, d_n = sqrt(2*pi*sigma_|n|), d^2 and 1/d^2 (0 where d = 0) by n + n_max,
+    and the slots n mod m of the coefficients in a length-m spectrum; read-only."""
+    ns = np.arange(-n_max, n_max + 1)
+    sig = moment_array(mu, n_max)[np.abs(ns)]
+    d = np.sqrt(2.0 * math.pi * sig)
+    d2 = d * d
+    plan = (sig, d, d2, np.divide(1.0, d2, out=np.zeros_like(d2), where=d2 > 0.0), ns % m)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
 
 
 def _weak_duality(psi: np.ndarray, psi_hat: np.ndarray, u_grid: np.ndarray, d: np.ndarray):
@@ -112,10 +120,11 @@ def _weak_duality(psi: np.ndarray, psi_hat: np.ndarray, u_grid: np.ndarray, d: n
     psi_hat/d (psi_hat_n = 0 where d_n = 0) makes that norm +inf, so the
     weighted constraint is never dropped."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        dh = float(np.linalg.norm(psi_hat / d))
+        q = psi_hat / d
+    dh = math.sqrt(q.real.dot(q.real) + q.imag.dot(q.imag))  # np.linalg.norm's arithmetic
     if math.isnan(dh):  # a 0/0 term; max() below would drop the nan
         dh = math.inf
-    scale = max(float(np.max(np.abs(psi))), dh, 1e-300)
+    scale = max(float(np.abs(psi).max()), dh, 1e-300)
     return float(abs(np.vdot(psi, u_grid)) / (psi.size * scale)), scale
 
 
@@ -123,7 +132,7 @@ def dual_bound(u: CoeffVector, phi: GridFunction, mu: RadialMeasure) -> float:
     """_weak_duality's lower bound for the dual candidate phi, its
     coefficients read by analyze."""
     return _weak_duality(phi.samples, analyze(phi, u.n_max).coeffs, synthesize(u, phi.m).samples,
-                         _weights(mu, u.n_max))[0]
+                         _plan(mu, u.n_max, phi.m)[1])[0]
 
 
 def _prox_weighted_l2(v: np.ndarray, d2: np.ndarray, inv_d2: np.ndarray, t: float,
@@ -170,7 +179,7 @@ def sum_norm(
     lower bound is at most what dual_bound reads for its dual witness.
     Every lower bound, the seed's and each check's, is _weak_duality's.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails it too
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -178,12 +187,33 @@ def sum_norm(
     if m < 2 * n_max + 1:
         raise ValueError(f"m={m} too small for degree {n_max}")
 
-    u_grid = synthesize(u, m).samples
-    d = _weights(mu, n_max)
-    d2 = d * d
-    idx = np.arange(-n_max, n_max + 1) % m  # coefficient slots inside the length-m spectrum
+    sig, d, d2, inv_d2, idx = _plan(mu, n_max, m)
+    spread = np.zeros(m, dtype=complex)
+    spread[idx] = u.coeffs
+    u_grid = np.fft.ifft(spread) * m  # synthesize's arithmetic
 
-    # one length-m spectrum per row; slots outside idx stay zero, and
+    # the better single-term split seeds the upper bound, and its dual
+    # candidate (see the module docstring) may certify it exactly; at
+    # ||D u|| = 0 the split f = u reads 0 and its candidate is 0
+    best_upper = math.sqrt(2.0 * math.pi * (np.abs(u.coeffs) ** 2 * sig).sum())  # hmu_norm's arithmetic
+    abs_u = np.abs(u_grid)
+    single_l1 = float(abs_u.sum()) / m  # np.mean's arithmetic
+    if single_l1 < best_upper:  # f = 0, g = u
+        best_upper = single_l1
+        best_f, best_g = np.zeros_like(u.coeffs), u_grid
+        cand = np.divide(u_grid, abs_u, out=np.zeros(m, dtype=complex), where=abs_u > 0.0)
+    else:  # f = u, g = 0
+        best_f, best_g = u.coeffs.copy(), np.zeros(m, dtype=complex)
+        spread[idx] = d2 * u.coeffs / (float(np.linalg.norm(d * u.coeffs)) or 1.0)
+        cand = np.fft.ifft(spread, norm="forward")
+    lower, scale = _weak_duality(cand, np.fft.fft(cand, norm="forward")[idx], u_grid, d)
+    if best_upper - lower <= tol * max(best_upper, 1e-300):
+        lower = min(lower, best_upper)
+        return CertifiedNorm(best_upper, lower, best_upper - lower, 0,
+                             Decomposition(CoeffVector(n_max, best_f), GridFunction(best_g)),
+                             GridFunction(cand / scale))
+    # otherwise the bound is dropped, so the loop runs as it would without it.
+    # One length-m spectrum per row; slots outside idx stay zero, and
     # slots[k] holds row k's coefficient slots in the flattened spectra; synth
     # into `grid` returns a view that its next such call overwrites
     spread = np.zeros((1 + len(_JOIN_SCALES), m), dtype=complex)
@@ -199,33 +229,12 @@ def sum_norm(
     def coeffs(y):  # S*y / m row by row, the inverse of synth on its range
         return np.fft.fft(y, norm="forward", out=spec[:len(y)]).take(idx, axis=-1)
 
-    # the better single-term split seeds the upper bound, and its dual
-    # candidate (see the module docstring) may certify it exactly; at
-    # ||D u|| = 0 the split f = u reads 0 and its candidate is 0
-    best_upper = hmu_norm(u, mu)
-    abs_u = np.abs(u_grid)
-    single_l1 = float(np.mean(abs_u))
-    if single_l1 < best_upper:  # f = 0, g = u
-        best_upper = single_l1
-        best_f, best_g = np.zeros_like(u.coeffs), u_grid
-        cand = np.divide(u_grid, abs_u, out=np.zeros(m, dtype=complex), where=abs_u > 0.0)
-    else:  # f = u, g = 0
-        best_f, best_g = u.coeffs.copy(), np.zeros(m, dtype=complex)
-        cand = synth((d2 * u.coeffs / (float(np.linalg.norm(d * u.coeffs)) or 1.0))[None])[0]
-    lower, scale = _weak_duality(cand, coeffs(cand[None])[0], u_grid, d)
-    if best_upper - lower <= tol * max(best_upper, 1e-300):
-        lower = min(lower, best_upper)
-        return CertifiedNorm(best_upper, lower, best_upper - lower, 0,
-                             Decomposition(CoeffVector(n_max, best_f), GridFunction(best_g)),
-                             GridFunction(cand / scale))
-    # otherwise the bound is dropped, so the loop runs as it would without it
     best_lower = 0.0
     best_psi = np.zeros(m, dtype=complex)
     converged = False
     it = 0
     leave_at = 0  # when the lag-triggered rows leave: 0 before they join, -1 after _JOIN_AFTER
 
-    inv_d2 = np.divide(1.0, d2, out=np.zeros_like(d2), where=d2 > 0.0)
     # one ADMM iteration per row, all rows in lockstep; row 0 balances its
     # penalty, the rows that join later keep theirs.  ug and mrho hold u and
     # m*rho once per row, which keeps numpy off its slower broadcasting path.

@@ -5,6 +5,8 @@ import argparse
 import json
 import math
 import os
+import subprocess
+import sys
 
 import mpmath
 import pytest
@@ -308,6 +310,26 @@ def test_nan_measure_spec_exit_code(capsys, command, spec, field):
     # position fails as well
     assert main([command, "--measure", spec]) == EXIT_BAD_INPUT
     assert f" {field} must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, p", [("halfplane", "1e17"), ("halfplane", "40"), ("halfplane", "-40"),
+                                        ("garnett", "60"), ("garnett", "-60"), ("halfplane", "1e4")])
+def test_huge_power_exponent_ends(command, p):
+    # G_p lifts a part of order q < 0 by q -> q + 2 until q >= 0, which never
+    # ends once q + 2 == q, and s^p times G_p(lo/s, hi/s) under- and
+    # overflows at once: each spec ends within the timeout, with finite or
+    # "inf" values, or exits 2 naming p
+    import carleson_lab
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(carleson_lab.__file__)),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "carleson_lab.cli", command, "--measure", f"power:p={p},a=1,b=2"],
+                          env=env, capture_output=True, text=True, timeout=30)
+    if proc.returncode == EXIT_OK:
+        json.loads(proc.stdout)  # emit writes no bare NaN or Infinity
+    else:
+        assert proc.returncode == EXIT_BAD_INPUT
+        assert f"p={float(p):g}" in proc.stderr.splitlines()[-1]
 
 
 def test_emit_refuses_bare_nan():

@@ -65,6 +65,30 @@ def test_bench_pairs_verdict_on_synthetic_runs():
         verdict(base, base[:5], "higher", 0.25)
 
 
+def test_bench_pairs_reads_seconds_by_op_from_synthetic_stdout():
+    bp = load_script("bench_pairs")
+
+    def stdout(by_op: dict) -> str:
+        final = {"correct": True, "attempted": 3, "failed": 0, "metrics": {}}
+        lines = ['# env {"python": "3"}', "# op_tail_ms is the mean of the 10 ops beyond p50 of 20 ops"]
+        if by_op is not None:
+            lines.append("# seconds_by_op " + json.dumps(by_op))
+        return "\n".join(lines + [json.dumps(final)]) + "\n"
+
+    run = bp.parse_run(stdout({"sum_norm.tiny": 0.5, "sum_norm.n32.lebesgue": 2.0}))
+    assert run["correct"] and run["attempted"] == 3
+    assert run["seconds_by_op"] == {"sum_norm.n32.lebesgue": 2.0, "sum_norm.tiny": 0.5}
+    assert bp.parse_run(stdout(None))["seconds_by_op"] == {}
+    base = [bp.parse_run(stdout({"a": t, "b": 1.0})) for t in (1.0, 3.0, 2.0)]
+    head = [bp.parse_run(stdout({"a": t})) for t in (0.5, 1.5, 1.0)]
+    moved = bp.op_seconds(base, head)
+    assert moved["a"] == {"base": 2.0, "head": 1.0, "ratio": 0.5}
+    # a kind the change no longer runs counts 0 there, and one new to it
+    # has an infinite ratio
+    assert moved["b"] == {"base": 1.0, "head": 0.0, "ratio": 0.0}
+    assert bp.op_seconds(head, base)["b"]["ratio"] == math.inf
+
+
 def test_cold_start_reports_one_fresh_cli_process(capsys, tmp_path):
     cold = load_script("cold_start")
     assert cold.main(["-k", "1"]) == 0

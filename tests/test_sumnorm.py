@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from carleson_lab import sumnorm
+from carleson_lab import fourier, sumnorm
 from carleson_lab.fourier import CoeffVector, GridFunction, adapted_pair, analyze, multiplier, synthesize
 from carleson_lab.harness import random_poly
 from carleson_lab.measures import RadialMeasure, atom_disk, lebesgue_disk, moment_array, power_disk
@@ -260,8 +260,9 @@ def test_weighted_seed_certifies_at_iteration_0():
 
 def test_iteration_0_makes_at_most_two_ffts(monkeypatch):
     # a certified split scores one dual candidate and synthesizes no witness:
-    # at most one transform to the grid and one back, counted among the
-    # numpy transforms that sumnorm calls through its own namespace
+    # besides the synthesis of u, at most one transform to the grid and one
+    # back, counted among the numpy transforms that sumnorm and fourier call
+    # through their own namespaces
     calls = []
 
     def counted(fn):
@@ -271,14 +272,88 @@ def test_iteration_0_makes_at_most_two_ffts(monkeypatch):
         return wrapped
 
     fft = SimpleNamespace(fft=counted(np.fft.fft), ifft=counted(np.fft.ifft))
-    monkeypatch.setattr(sumnorm, "np", SimpleNamespace(**{**vars(np), "fft": fft}))
-    for mu, (s, i), want in ((RadialMeasure(pieces=((0.0, 0.999, 1.0, -0.5, 0.0),)), (0, 0), ["fft"]),
-                             (power_disk(1.0), (7, 4), ["ifft", "fft"])):
+    for module in (sumnorm, fourier):
+        monkeypatch.setattr(module, "np", SimpleNamespace(**{**vars(np), "fft": fft}))
+    for mu, (s, i), want in ((RadialMeasure(pieces=((0.0, 0.999, 1.0, -0.5, 0.0),)), (0, 0), ["ifft", "fft"]),
+                             (power_disk(1.0), (7, 4), ["ifft", "ifft", "fft"])):
         u = random_poly(s, i, 64)
         v = multiplier(CoeffVector(64, u.coeffs / l2_norm(u)), adapted_pair(mu, 64).a)
         calls.clear()
         assert sum_norm(v, mu, m=512, tol=1e-3).iterations == 0
         assert calls == want
+
+
+def plan_cases() -> list:
+    """(u, mu, m, tol): iteration-0 solves of both splits and looping ones,
+    over measures with underflowing and zero moments and m from 2N+1 up."""
+    mu_half = RadialMeasure(pieces=((0.0, 0.5, 1.0, 0.0, 0.0),))
+    cases = [(random_coeff_vector(rng_for(100 + i), n), mu, m, 5e-5)
+             for i, (n, m) in enumerate(((1, 3), (2, 5), (2, 16), (6, 32)))
+             for mu in (lebesgue_disk(), mu_half, RadialMeasure(atoms=((0.0, 0.05),)))]
+    for mu in (power_disk(1.0), atom_disk(0.5), RadialMeasure(pieces=((0.0, 0.999, 1.0, -0.5, 0.0),))):
+        v = multiplier(CoeffVector(64, random_poly(7, 4, 64).coeffs), adapted_pair(mu, 64).a)
+        cases += [(x, mu, m, 1e-3) for x in (v, multiplier(v, adapted_pair(mu, 64).b)) for m in (129, 512)]
+    return cases
+
+
+def cert_bytes(cert) -> tuple:
+    return (cert.upper, cert.lower, cert.gap, cert.iterations, cert.converged,
+            cert.witness.f.coeffs.tobytes(), cert.witness.g.samples.tobytes(),
+            cert.dual_witness.samples.tobytes())
+
+
+def test_plan_cold_and_warm_give_identical_certificates():
+    cases = plan_cases()
+    sumnorm._plan.cache_clear()
+    cold = [cert_bytes(sum_norm(u, mu, m=m, tol=tol, max_iters=100)) for u, mu, m, tol in cases]
+    assert sumnorm._plan.cache_info().hits > 0  # the cases share some (mu, N, m)
+    warm = [cert_bytes(sum_norm(u, mu, m=m, tol=tol, max_iters=100)) for u, mu, m, tol in cases]
+    assert warm == cold
+    assert {c[3] == 0 for c in cold} == {True, False}
+
+
+def test_plan_is_read_only_and_keyed_by_m(lebesgue):
+    p5, p8 = sumnorm._plan(lebesgue, 2, 5), sumnorm._plan(lebesgue, 2, 8)
+    assert sumnorm._plan(lebesgue, 2, 5) is p5
+    for a in p5 + p8:
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        p5[1][0] = 0.0
+    assert p5[4].tolist() == [3, 4, 0, 1, 2] and p8[4].tolist() == [6, 7, 0, 1, 2]
+    for a, b in zip(p5[:4], p8[:4]):
+        assert a.tobytes() == b.tobytes()
+    sig = moment_array(lebesgue, 2)[[2, 1, 0, 1, 2]]
+    assert p5[0].tobytes() == sig.tobytes()
+    assert p5[1].tobytes() == np.sqrt(2.0 * math.pi * sig).tobytes()
+
+
+def test_seed_matches_synthesize_and_hmu_norm(monkeypatch):
+    # the seed builds u's grid values and its weighted upper from the plan;
+    # fourier.synthesize and norms.hmu_norm stay the independent references,
+    # bit for bit, for every case, as dual_bound is for the loop
+    grids = []
+
+    def first_grid(psi, psi_hat, u_grid, d):
+        grids.append(u_grid)
+        return weak(psi, psi_hat, u_grid, d)
+
+    weak = sumnorm._weak_duality
+    monkeypatch.setattr(sumnorm, "_weak_duality", first_grid)
+    splits = set()
+    for u, mu, m, tol in plan_cases():
+        grids.clear()
+        cert = sum_norm(u, mu, m=m, tol=tol, max_iters=25)
+        u_grid = synthesize(u, m).samples
+        assert grids[0].tobytes() == u_grid.tobytes()
+        if cert.iterations == 0:
+            weighted = not np.any(cert.witness.g.samples)
+            splits.add(weighted)
+            if weighted:
+                assert cert.upper == hmu_norm(u, mu)
+            else:
+                assert cert.witness.g.samples.tobytes() == u_grid.tobytes()
+                assert cert.upper == l1_norm(GridFunction(u_grid))
+    assert splits == {True, False}
 
 
 def test_uncertified_seed_still_iterates(lebesgue):
@@ -398,8 +473,9 @@ def test_monotone_in_weight(lebesgue):
 
 def test_input_validation(lebesgue):
     u = basis_vector(4)
-    with pytest.raises(ValueError):
-        sum_norm(u, lebesgue, m=16, tol=0.0)
+    for tol in (0.0, -1e-3, math.nan):  # NaN fails a positive condition
+        with pytest.raises(ValueError, match="tol must be positive"):
+            sum_norm(u, lebesgue, m=16, tol=tol)
     with pytest.raises(ValueError):
         sum_norm(u, lebesgue, m=4)
     with pytest.raises(ValueError):
