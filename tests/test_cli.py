@@ -319,14 +319,13 @@ def test_huge_power_exponent_ends(command, p):
     # ends once q + 2 == q, and s^p times G_p(lo/s, hi/s) under- and
     # overflows at once: each spec ends within the timeout, with finite or
     # "inf" values, or exits 2 naming p
-    import carleson_lab
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(carleson_lab.__file__)),
-                                                      env.get("PYTHONPATH")]))
+    env = dict(os.environ)  # the directory holding the imported package first, absolute
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(os.path.abspath(
+        harness.__file__))), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "carleson_lab.cli", command, "--measure", f"power:p={p},a=1,b=2"],
                           env=env, capture_output=True, text=True, timeout=30)
     if proc.returncode == EXIT_OK:
-        json.loads(proc.stdout)  # emit writes no bare NaN or Infinity
+        json.loads(proc.stdout, parse_constant=lambda c: pytest.fail(f"bare {c} in the report"))
     else:
         assert proc.returncode == EXIT_BAD_INPUT
         assert f"p={float(p):g}" in proc.stderr.splitlines()[-1]
