@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,22 +58,39 @@ class GridFunction:
         return 2.0 * math.pi * np.arange(self.m) / self.m
 
 
+@lru_cache(maxsize=256)
+def _slots(shape: tuple, m: int) -> np.ndarray:
+    """Flat slots n mod m + k*m (row k) of coefficients of this shape, n = -N..N on the last axis; read-only."""
+    rows = np.arange(math.prod(shape[:-1])).reshape(shape[:-1] + (1,))
+    s = np.arange(-(shape[-1] // 2), shape[-1] // 2 + 1) % m + m * rows
+    s.flags.writeable = False
+    return s
+
+
+def _to_grid(c: np.ndarray, m: int) -> np.ndarray:
+    """Rows of 2N+1 coefficients (index n + N) to rows of m >= 2N+1 samples, forward-normalised."""
+    if m < c.shape[-1]:  # two modes would share a slot
+        raise ValueError(f"m={m} too small for degree {c.shape[-1] // 2}; need m >= {c.shape[-1]}")
+    spread = np.zeros(c.shape[:-1] + (m,), dtype=complex)
+    spread.reshape(-1)[_slots(c.shape, m)] = c
+    return np.fft.ifft(spread, norm="forward", out=spread)
+
+
+def _to_coeffs(y: np.ndarray, n_max: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows of samples to coefficients |n| <= n_max, forward-normalised; the FFT fills out (may be y)."""
+    return np.fft.fft(y, norm="forward", out=out).take(_slots((2 * n_max + 1,), y.shape[-1]), axis=-1)
+
+
 def synthesize(u: CoeffVector, m: int) -> GridFunction:
     """Samples of sum_n c_n e^{i n theta_k} at the M equispaced nodes."""
-    if m < 2 * u.n_max + 1:
-        raise ValueError(f"m={m} too small for degree {u.n_max}; need m >= {2 * u.n_max + 1}")
-    spread = np.zeros(m, dtype=complex)
-    spread[u.ns % m] = u.coeffs  # distinct slots, as m >= 2N+1
-    return GridFunction(np.fft.ifft(spread) * m)
+    return GridFunction(_to_grid(u.coeffs, m))
 
 
 def analyze(g: GridFunction, n_max: int) -> CoeffVector:
     """Trapezoidal-rule Fourier coefficients; exact for degree <= (m-1)/2."""
     if n_max > (g.m - 1) // 2:
         raise ValueError(f"n_max={n_max} too large for m={g.m} samples")
-    hat = np.fft.fft(g.samples) / g.m
-    ns = np.arange(-n_max, n_max + 1)
-    return CoeffVector(n_max, hat[ns % g.m])
+    return CoeffVector(n_max, _to_coeffs(g.samples, n_max))
 
 
 def analytic_projection(u: CoeffVector) -> CoeffVector:
@@ -113,6 +131,9 @@ def adapted_pair(mu: RadialMeasure, n_max: int) -> AdaptedPair:
         raise ValueError("adapted pair requires strictly positive moments up to n_max")
     ns = np.arange(-n_max, n_max + 1)
     log_w = math.log(2.0 * math.pi) + ls  # log(2*pi*sigma_n), n = 0..n_max
+    fits = -0.5 * log_w < math.log(np.finfo(float).max)  # checked before exp; a cannot underflow
+    if not fits.all():
+        raise ValueError(f"adapted pair at n_max={n_max}: a(n) overflows at n={int(np.argmin(fits))}")
     a = np.exp(-0.5 * log_w)[np.abs(ns)]
     # sanity: the defining identity, in logs, on every mode
     if not np.allclose(2.0 * np.log(a), -log_w[np.abs(ns)], rtol=0.0, atol=1e-9):

@@ -60,7 +60,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fourier import CoeffVector, GridFunction, analyze, synthesize
+from .fourier import CoeffVector, GridFunction, _to_coeffs, _to_grid, analyze, synthesize
 from .measures import RadialMeasure, moment_array
 
 DEFAULT_TOL = 1e-5
@@ -99,14 +99,13 @@ class CertifiedNorm:
 
 
 @lru_cache(maxsize=256)
-def _plan(mu: RadialMeasure, n_max: int, m: int):
-    """sigma_|n|, d_n = sqrt(2*pi*sigma_|n|), d^2 and 1/d^2 (0 where d = 0) by n + n_max,
-    and the slots n mod m of the coefficients in a length-m spectrum; read-only."""
-    ns = np.arange(-n_max, n_max + 1)
-    sig = moment_array(mu, n_max)[np.abs(ns)]
+def _plan(mu: RadialMeasure, n_max: int):
+    """sigma_|n|, d_n = sqrt(2*pi*sigma_|n|), d^2 and 1/d^2 (0 where d = 0) by
+    n + n_max; read-only, and the same for every grid."""
+    sig = moment_array(mu, n_max)[np.abs(np.arange(-n_max, n_max + 1))]
     d = np.sqrt(2.0 * math.pi * sig)
     d2 = d * d
-    plan = (sig, d, d2, np.divide(1.0, d2, out=np.zeros_like(d2), where=d2 > 0.0), ns % m)
+    plan = (sig, d, d2, np.divide(1.0, d2, out=np.zeros_like(d2), where=d2 > 0.0))
     for a in plan:
         a.flags.writeable = False
     return plan
@@ -132,7 +131,7 @@ def dual_bound(u: CoeffVector, phi: GridFunction, mu: RadialMeasure) -> float:
     """_weak_duality's lower bound for the dual candidate phi, its
     coefficients read by analyze."""
     return _weak_duality(phi.samples, analyze(phi, u.n_max).coeffs, synthesize(u, phi.m).samples,
-                         _plan(mu, u.n_max, phi.m)[1])[0]
+                         _plan(mu, u.n_max)[1])[0]
 
 
 def _prox_weighted_l2(v: np.ndarray, d2: np.ndarray, inv_d2: np.ndarray, t: float,
@@ -184,13 +183,8 @@ def sum_norm(
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     n_max = u.n_max
-    if m < 2 * n_max + 1:
-        raise ValueError(f"m={m} too small for degree {n_max}")
-
-    sig, d, d2, inv_d2, idx = _plan(mu, n_max, m)
-    spread = np.zeros(m, dtype=complex)
-    spread[idx] = u.coeffs
-    u_grid = np.fft.ifft(spread) * m  # synthesize's arithmetic
+    sig, d, d2, inv_d2 = _plan(mu, n_max)
+    u_grid = _to_grid(u.coeffs, m)
 
     # the better single-term split seeds the upper bound, and its dual
     # candidate (see the module docstring) may certify it exactly; at
@@ -204,31 +198,14 @@ def sum_norm(
         cand = np.divide(u_grid, abs_u, out=np.zeros(m, dtype=complex), where=abs_u > 0.0)
     else:  # f = u, g = 0
         best_f, best_g = u.coeffs.copy(), np.zeros(m, dtype=complex)
-        spread[idx] = d2 * u.coeffs / (float(np.linalg.norm(d * u.coeffs)) or 1.0)
-        cand = np.fft.ifft(spread, norm="forward")
-    lower, scale = _weak_duality(cand, np.fft.fft(cand, norm="forward")[idx], u_grid, d)
+        cand = _to_grid(d2 * u.coeffs / (float(np.linalg.norm(d * u.coeffs)) or 1.0), m)
+    lower, scale = _weak_duality(cand, _to_coeffs(cand, n_max), u_grid, d)
     if best_upper - lower <= tol * max(best_upper, 1e-300):
         lower = min(lower, best_upper)
         return CertifiedNorm(best_upper, lower, best_upper - lower, 0,
                              Decomposition(CoeffVector(n_max, best_f), GridFunction(best_g)),
                              GridFunction(cand / scale))
-    # otherwise the bound is dropped, so the loop runs as it would without it.
-    # One length-m spectrum per row; slots outside idx stay zero, and
-    # slots[k] holds row k's coefficient slots in the flattened spectra; synth
-    # into `grid` returns a view that its next such call overwrites
-    spread = np.zeros((1 + len(_JOIN_SCALES), m), dtype=complex)
-    grid, spec = np.empty_like(spread), np.empty_like(spread)
-    flat = spread.reshape(-1)
-    slots = idx + m * np.arange(len(spread))[:, None]
-
-    def synth(fc, out=None):  # row k of coefficients to row k of grid values
-        rows = len(fc)
-        flat[slots[:rows]] = fc
-        return np.fft.ifft(spread[:rows], norm="forward", out=out)
-
-    def coeffs(y):  # S*y / m row by row, the inverse of synth on its range
-        return np.fft.fft(y, norm="forward", out=spec[:len(y)]).take(idx, axis=-1)
-
+    # otherwise the bound is dropped, so the loop runs as it would without it
     best_lower = 0.0
     best_psi = np.zeros(m, dtype=complex)
     converged = False
@@ -246,10 +223,11 @@ def sum_norm(
     y = np.zeros((1, m), dtype=complex)  # scaled dual of S f + z = u
     f = np.empty((1, 2 * n_max + 1), dtype=complex)
     for it in range(1, max_iters + 1):
-        v = coeffs(e - y)
+        ey = e - y
+        v = _to_coeffs(ey, n_max, out=ey)
         for k, vk in enumerate(v):
             f[k], lam[k] = _prox_weighted_l2(vk, d2, inv_d2, 1.0 / (m * rho[k]), lam[k])
-        sf = synth(f, out=grid[:len(f)])
+        sf = _to_grid(f, m)
         # over-relaxed z-step: y becomes the projection of
         # q = RELAX*(sf - e) + y + e - u onto |.| <= 1/(m*rho), and z = y - q.
         # In place, as numpy call overhead dominates at these sizes.
@@ -267,13 +245,13 @@ def sum_norm(
         if it % _CHECK_EVERY == 0 or it == max_iters:
             nf = [float(np.linalg.norm(d * fk)) for fk in f]
             psi = mrho * y
-            psi_hat = coeffs(psi)
+            psi_hat = _to_coeffs(psi, n_max)
             # psi with its coefficients swapped for the subgradient of
             # ||D f|| at f: meets the dual weighted-norm constraint exactly
             # (a row with f = 0 divides 0 by 1 and offers no such candidate)
             sub = -d2 * f / np.array([x or 1.0 for x in nf])[:, None]
-            swapped = psi + synth(sub - psi_hat)
-            swapped_hat = coeffs(swapped)
+            swapped = psi + _to_grid(sub - psi_hat, m)
+            swapped_hat = _to_coeffs(swapped, n_max)
             for k in range(len(rho)):
                 upper = nf[k] + float(np.mean(np.abs(u_grid - sf[k])))
                 if upper < best_upper:
@@ -330,6 +308,6 @@ def sum_norm(
         # rounding noise that each transform draws anew, so the bound the
         # witness reproduces through dual_bound can be lower than the score
         best_lower = min(best_lower, dual_bound(u, dual_witness, mu))
-    witness = Decomposition(CoeffVector(n_max, best_f), GridFunction(u_grid - synth(best_f[None])[0]))
+    witness = Decomposition(CoeffVector(n_max, best_f), GridFunction(u_grid - _to_grid(best_f, m)))
     return CertifiedNorm(best_upper, best_lower, best_upper - best_lower, it, witness, dual_witness,
                          converged)

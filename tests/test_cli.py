@@ -331,6 +331,19 @@ def test_huge_power_exponent_ends(command, p):
         assert f"p={float(p):g}" in proc.stderr.splitlines()[-1]
 
 
+def test_bbb_past_the_adapted_pair_range_exits_2():
+    # a(n) of this truncation overflows near n = 6700: the call exits 2
+    # naming n_max, before any solve, instead of a traceback
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(os.path.abspath(
+        harness.__file__))), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "carleson_lab.cli", "bbb", "--measure", "power:p=-0.5,b=0.9",
+                           "--n-max", "7000", "--grid", "28001", "--count", "1", "--max-iters", "1"],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert "n_max=7000" in proc.stderr.splitlines()[-1]
+
+
 def test_emit_refuses_bare_nan():
     # bare NaN is not JSON: the report is refused, not printed
     with pytest.raises(ValueError):

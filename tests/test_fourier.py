@@ -1,6 +1,7 @@
 """Unit tests for the spectral layer: transforms, multipliers, adapted pairs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from carleson_lab.fourier import (
     CoeffVector,
     GridFunction,
+    _to_coeffs,
+    _to_grid,
     adapted_pair,
     analytic_projection,
     analyze,
@@ -59,7 +62,27 @@ def test_synthesize_matches_direct_oracle():
         spread = np.zeros(m, dtype=complex)  # per-mode scatter: the same bits
         for n, c in zip(u.ns, u.coeffs):
             spread[n % m] += c
-        assert np.array_equal(fast, np.fft.ifft(spread) * m)
+        assert np.array_equal(fast, np.fft.ifft(spread, norm="forward"))
+        if m & (m - 1) == 0:  # scaling by a power of two is exact: why the goldens hold
+            assert np.array_equal(fast, np.fft.ifft(spread) * m)
+
+
+def test_batched_rows_match_the_public_transforms():
+    # the solver's (rows, .) transforms give each row what synthesize and
+    # analyze give it alone, bit for bit, and the dense sum to rounding
+    n_max = 8
+    rng = rng_for(2)
+    rows = [random_coeff_vector(rng, n_max) for _ in range(3)]
+    c = np.stack([u.coeffs for u in rows])
+    for m in (2 * n_max + 1, 50, 128):
+        grid = _to_grid(c, m)
+        coeffs = _to_coeffs(grid, n_max)
+        assert grid.shape == (3, m) and coeffs.shape == c.shape
+        for k, u in enumerate(rows):
+            g = synthesize(u, m)
+            assert grid[k].tobytes() == g.samples.tobytes()
+            assert coeffs[k].tobytes() == analyze(g, n_max).coeffs.tobytes()
+            assert np.max(np.abs(grid[k] - _synthesize_direct(u, m).samples)) < 1e-12
 
 
 def test_size_guards():
@@ -121,3 +144,14 @@ def test_adapted_pair_interior_measure():
 def test_adapted_pair_rejects_degenerate_measure():
     with pytest.raises(ValueError):
         adapted_pair(RadialMeasure(atoms=((0.0, 1.0),)), 2)
+
+
+def test_adapted_pair_past_the_double_range_raises_value_error():
+    # a(n) = exp(-log(2*pi*sigma_n)/2) of (1-r)^{-1/2} dr on [0, 0.9) passes
+    # 1e308 near n = 6700: the check comes before exp, so nothing warns
+    mu = RadialMeasure(pieces=((0.0, 0.9, 1.0, -0.5, 0.0),))
+    assert np.all(np.isfinite(adapted_pair(mu, 3072).a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"n_max=7000: .* at n=6\d{3}$"):
+            adapted_pair(mu, 7000)

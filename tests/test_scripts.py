@@ -1,6 +1,7 @@
 """Smoke tests for the experiment scripts: each `main` runs on tiny
 arguments and prints the numbers of the library call it wraps."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -8,6 +9,7 @@ import os
 
 import pytest
 
+from carleson_lab import harness, sumnorm
 from carleson_lab.harness import corpus_scan, fejer_experiment
 from carleson_lab.measures import RadialMeasure, RadialPiece, power_disk
 
@@ -87,6 +89,31 @@ def test_bench_pairs_reads_seconds_by_op_from_synthetic_stdout():
     # has an infinite ratio
     assert moved["b"] == {"base": 1.0, "head": 0.0, "ratio": 0.0}
     assert bp.op_seconds(head, base)["b"]["ratio"] == math.inf
+
+
+def test_cert_census_prints_one_line_per_sum_norm_call(capsys, monkeypatch):
+    # count the calls beneath the census's own recording, then solve one of
+    # them again directly and find its line
+    census = load_script("cert_census")
+    calls, solve = [], sumnorm.sum_norm
+
+    def counted(u, mu, m, **kwargs):
+        calls.append((u, mu, m, kwargs))
+        return solve(u, mu, m=m, **kwargs)
+
+    monkeypatch.setattr(sumnorm, "sum_norm", counted)
+    monkeypatch.setattr(harness, "sum_norm", counted)
+    assert census.main(["--rounds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(calls) > 100
+    assert {line.split()[0].split(".")[0] for line in lines} == {"sum_norm", "corpus_scan"}
+    for k in (0, len(calls) - 1):
+        u, mu, m, kwargs = calls[k]
+        cert = solve(u, mu, m=m, **kwargs)
+        sha = hashlib.sha256(cert.witness.f.coeffs.tobytes() + cert.witness.g.samples.tobytes()
+                             + cert.dual_witness.samples.tobytes()).hexdigest()[:12]
+        assert lines[k].split()[1:] == [f"m={m}", f"it={cert.iterations}", f"conv={cert.converged}",
+                                        f"upper={cert.upper!r}", f"lower={cert.lower!r}", f"sha={sha}"]
 
 
 def test_cold_start_reports_one_fresh_cli_process(capsys, tmp_path):

@@ -306,31 +306,43 @@ def test_plan_cold_and_warm_give_identical_certificates():
     cases = plan_cases()
     sumnorm._plan.cache_clear()
     cold = [cert_bytes(sum_norm(u, mu, m=m, tol=tol, max_iters=100)) for u, mu, m, tol in cases]
-    assert sumnorm._plan.cache_info().hits > 0  # the cases share some (mu, N, m)
+    assert sumnorm._plan.cache_info().hits > 0  # the cases share some (mu, N)
     warm = [cert_bytes(sum_norm(u, mu, m=m, tol=tol, max_iters=100)) for u, mu, m, tol in cases]
     assert warm == cold
     assert {c[3] == 0 for c in cold} == {True, False}
 
 
-def test_plan_is_read_only_and_keyed_by_m(lebesgue):
-    p5, p8 = sumnorm._plan(lebesgue, 2, 5), sumnorm._plan(lebesgue, 2, 8)
-    assert sumnorm._plan(lebesgue, 2, 5) is p5
-    for a in p5 + p8:
+def test_plan_is_read_only_and_keyed_by_mu_and_n(lebesgue):
+    # one plan per (mu, N) serves every grid; the slots n mod m live in fourier
+    plan = sumnorm._plan(lebesgue, 2)
+    assert sumnorm._plan(lebesgue, 2) is plan and len(plan) == 4
+    for a in plan:
         assert not a.flags.writeable
     with pytest.raises(ValueError):
-        p5[1][0] = 0.0
-    assert p5[4].tolist() == [3, 4, 0, 1, 2] and p8[4].tolist() == [6, 7, 0, 1, 2]
-    for a, b in zip(p5[:4], p8[:4]):
-        assert a.tobytes() == b.tobytes()
+        plan[1][0] = 0.0
+    u = random_coeff_vector(rng_for(7), 2)
+    sumnorm._plan.cache_clear()
+    for m in (5, 8, 64):
+        sum_norm(u, lebesgue, m=m, tol=5e-5, max_iters=50)
+    assert sumnorm._plan.cache_info().currsize == 1
     sig = moment_array(lebesgue, 2)[[2, 1, 0, 1, 2]]
-    assert p5[0].tobytes() == sig.tobytes()
-    assert p5[1].tobytes() == np.sqrt(2.0 * math.pi * sig).tobytes()
+    plan = sumnorm._plan(lebesgue, 2)
+    assert plan[0].tobytes() == sig.tobytes()
+    assert plan[1].tobytes() == np.sqrt(2.0 * math.pi * sig).tobytes()
+    s5, s8 = fourier._slots((5,), 5), fourier._slots((5,), 8)
+    assert fourier._slots((5,), 5) is s5
+    assert s5.tolist() == [3, 4, 0, 1, 2] and s8.tolist() == [6, 7, 0, 1, 2]
+    assert fourier._slots((2, 5), 5).tolist() == [[3, 4, 0, 1, 2], [8, 9, 5, 6, 7]]
+    for s in (s5, s8):
+        assert not s.flags.writeable
+        with pytest.raises(ValueError):
+            s[0] = 0
 
 
 def test_seed_matches_synthesize_and_hmu_norm(monkeypatch):
-    # the seed builds u's grid values and its weighted upper from the plan;
-    # fourier.synthesize and norms.hmu_norm stay the independent references,
-    # bit for bit, for every case, as dual_bound is for the loop
+    # the seed's grid values of u are synthesize's (both call fourier._to_grid)
+    # and its weighted upper is hmu_norm's arithmetic on the plan, bit for
+    # bit, for every case
     grids = []
 
     def first_grid(psi, psi_hat, u_grid, d):
