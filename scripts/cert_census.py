@@ -1,19 +1,27 @@
 #!/usr/bin/env python3
-"""One line per sum_norm call of the benchmark's `solve` and `corpus` rounds.
+"""One line per sum_norm call of the benchmark's `solve` and `corpus` rounds,
+or per op of its `weights` rounds.
 
-    python3 scripts/cert_census.py [--seed 42] [--rounds 2] > census.txt
+    python3 scripts/cert_census.py [--seed 42] [--rounds 2] \\
+        [--workload solve corpus weights] > census.txt
 
 The rounds are built by bench/workloads.py from the seed, as bench/run.py
-builds them, and run in order: rounds 0..R-1 of `solve`, then of `corpus`,
-each op in its round's order (the ops are not shuffled and their checks are
-not run).  Each line reads
+builds them, and run in order: rounds 0..R-1 of each named workload in
+turn (solve and corpus by default), each op in its round's order (the ops
+are not shuffled and their checks are not run).  A solve or corpus line
+reads
 
     <op kind> m=<m> it=<iterations> conv=<converged> upper=<repr> lower=<repr> sha=<12 hex>
 
 where sha hashes the bytes of the witness f's coefficients, the witness
-g's samples and the dual witness's samples.  Two trees that give the same
-file gave the same certificates bit for bit, so a solver refactor proves
-byte identity with `diff` of one run on each tree.
+g's samples and the dual witness's samples.  A weights line reads
+
+    <op kind> sha=<12 hex>
+
+where sha hashes the op's output: the exit code and stdout of a CLI op,
+the bytes of an array and the repr of a float.  Two trees that give the
+same file gave the same numbers bit for bit, so a refactor proves byte
+identity, or shows which ops moved, with `diff` of one run on each tree.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ import contextlib
 import hashlib
 import os
 import sys
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
@@ -38,6 +48,16 @@ def cert_line(kind: str, m: int, cert) -> str:
         h.update(a.tobytes())
     return (f"{kind} m={m} it={cert.iterations} conv={cert.converged} "
             f"upper={cert.upper!r} lower={cert.lower!r} sha={h.hexdigest()[:12]}")
+
+
+def output_line(kind: str, out) -> str:
+    if isinstance(out, np.ndarray):
+        data = out.tobytes()
+    elif isinstance(out, tuple):  # a CLI op: (exit code, stdout)
+        data = f"{out[0]}\n{out[1]}".encode()
+    else:
+        data = repr(out).encode()
+    return f"{kind} sha={hashlib.sha256(data).hexdigest()[:12]}"
 
 
 @contextlib.contextmanager
@@ -61,12 +81,16 @@ def recording(calls: list):
         sumnorm.sum_norm, harness.sum_norm = saved
 
 
-def census(seed: int, rounds: int):
-    """Yield one line per sum_norm call, in call order."""
+def census(seed: int, rounds: int, names=("solve", "corpus")):
+    """Yield one line per sum_norm call of solve and corpus, and per op of
+    weights, in call order."""
     ctx = workloads.Context(ROOT)
-    for workload in ("solve", "corpus"):
+    for workload in names:
         for r in range(rounds):
             for op in workloads.ROUNDS[workload](ctx, seed, r):
+                if workload == "weights":
+                    yield output_line(op.kind, op.call())
+                    continue
                 calls = []
                 with recording(calls):
                     op.call()
@@ -78,8 +102,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--rounds", type=int, default=2)
+    ap.add_argument("--workload", nargs="+", choices=("solve", "corpus", "weights"),
+                    default=["solve", "corpus"])
     args = ap.parse_args(argv)
-    for line in census(args.seed, args.rounds):
+    for line in census(args.seed, args.rounds, args.workload):
         print(line)
     return 0
 

@@ -116,7 +116,6 @@ class AdaptedPair:
 
     a: np.ndarray
     b: np.ndarray
-    n_max: int
 
 
 def adapted_pair(mu: RadialMeasure, n_max: int) -> AdaptedPair:
@@ -138,4 +137,4 @@ def adapted_pair(mu: RadialMeasure, n_max: int) -> AdaptedPair:
     # sanity: the defining identity, in logs, on every mode
     if not np.allclose(2.0 * np.log(a), -log_w[np.abs(ns)], rtol=0.0, atol=1e-9):
         raise AssertionError("adapted pair identity violated")
-    return AdaptedPair(a=a, b=np.sign(ns).astype(float), n_max=n_max)
+    return AdaptedPair(a=a, b=np.sign(ns).astype(float))

@@ -2,18 +2,17 @@
 and line measures on the real axis.
 
 Every measure is a finite list of atoms plus piecewise power-law
-densities, so moments, tail masses and Laplace transforms have closed
-forms (incomplete beta / gamma), all in numpy and math.  Moments run a
-stable downward recurrence from one log-domain continued fraction
-(DLMF 8.17.22), so moments far below the double-precision floor keep their
-relative accuracy.  A tail of a piece reaching r = 1 is taken in delta
-itself.  A Laplace transform of a piece with p <= -1 is a difference of
-upper incomplete gammas of negative order, lifted to positive order by the
-recurrence of DLMF 8.8.2.  The singular integral is closed form for atoms
-and, for pieces, a fixed composite Gauss(-Jacobi) rule in r (_radial_rule),
-which norms.w_sigma shares below r = 1/2.  _panel_nodes, the one map from
-a panel layout to nodes and weights, serves that rule and norms.poisson_sup.
-No adaptive quadrature runs anywhere in the package.
+densities, so moments and tail masses have closed forms (incomplete beta),
+all in numpy and math.  Moments run a stable downward recurrence from one
+log-domain continued fraction (DLMF 8.17.22), so moments far below the
+double-precision floor keep their relative accuracy.  A tail of a piece
+reaching r = 1 is taken in delta itself.  The Laplace transform of a piece
+of any order is one routine: a power series below s*y = 1 and fixed Gauss
+panels above.  The singular integral is closed form for atoms and, for
+pieces, a fixed composite Gauss(-Jacobi) rule in r (_radial_rule), which
+norms.w_sigma shares below r = 1/2.  _panel_nodes, the one map from a panel
+layout to nodes and weights, serves that rule and norms.poisson_sup.  No
+adaptive quadrature runs anywhere in the package.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ class LinePiece:
 
 
 _CF_EPS = np.finfo(float).eps  # convergence of a continued-fraction step to 1
-# cap on terms: the beta fraction needed under 100 up to a = 1e8, the gamma one under 100 at x = 1
+# cap on terms: the beta fraction needed under 100 up to a = 1e8
 _CF_MAX_TERMS = 1000
 
 
@@ -522,13 +521,13 @@ def radial_carleson(mu: RadialMeasure):
 
     The finiteness verdict is analytic on the power-law family: a piece
     reaching r=1 is compatible iff its boundary exponent p >= 0.  The
-    sup_ratio is the maximum over DELTA_GRID augmented with atom and
-    piece-boundary candidates.
+    sup_ratio is the maximum over DELTA_GRID augmented with the piece ends
+    inside (0, 1) and delta = 1 - r for every atom, delta = 1 (r = 0) included.
     """
     if not all(pc.p >= 0 for pc in mu.pieces if pc.b >= 1.0):
         return INF, False
-    grid = _probe_grid(DELTA_GRID, [1.0 - r for r, _ in mu.atoms]
-                       + [1.0 - x for pc in mu.pieces for x in (pc.a, pc.b)], 1.0)
+    grid = np.union1d(_probe_grid(DELTA_GRID, [1.0 - x for pc in mu.pieces for x in (pc.a, pc.b)], 1.0),
+                      [1.0 - r for r, _ in mu.atoms])
     return float(np.max(mu.tail_mass(grid) / grid)), True
 
 
@@ -573,112 +572,89 @@ def laplace_transform(pi: VerticalMeasure, xi, convention: str = FOUR_PI):
 
     Accepts a scalar or an array of frequencies, all evaluated in one array
     call per piece.  With s = k*|xi| an atom w at y gives w*exp(-s*y), and a
-    piece c*y^p dy on [a, b) gives c*s^-(p+1) times the incomplete gamma
-    difference over [s*a, s*b]: for p > -1 by _power_exp_integral, both ends
-    in one call, and for p <= -1, where a > 0, the upper one as
-    a^(p+1)*_upper_gamma(p+1, s*a) minus the same at b, so that s^-(p+1)
-    never multiplies a subnormal.
+    piece c*y^p dy on [a, b) gives c*_power_exp_integral(p+1, s, a, b).
     """
-    rate = _KERNEL_RATE[convention]
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    s = rate * np.abs(xi_arr)
+    s = _KERNEL_RATE[convention] * np.abs(np.atleast_1d(np.asarray(xi, dtype=float)))
     out = np.zeros_like(s)
-    nz = s > 0.0
-    sv = s[nz]
+    sv = s[s > 0.0]
     acc = np.zeros_like(sv)
-    with np.errstate(under="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         for y, w in pi.atoms:
             acc += w * np.exp(-sv * y)
         for pc in pi.pieces:
-            e = pc.p + 1.0
-            if e > 0.0:
-                acc += pc.c * _power_exp_integral(e, sv, pc.a, pc.b)
-            else:
-                acc += pc.c * (pc.a**e * _upper_gamma(e, sv * pc.a)
-                               - pc.b**e * _upper_gamma(e, sv * pc.b))
-    out[nz] = acc
-    if np.isscalar(xi) or np.asarray(xi).ndim == 0:
-        return float(out[0])
-    return out
+            acc += pc.c * _power_exp_integral(pc.p + 1.0, sv, pc.a, pc.b)
+    out[s > 0.0] = acc
+    return float(out[0]) if np.ndim(xi) == 0 else out
 
 
-_LOG_UPPER = math.log(1e-10)  # _power_exp_integral's ends take the upper part below this log Q
-_LOG_GONE = -55.0 * math.log(2.0)  # and mostly drop it below this one
-
-
-def _gamma_series(e: float, x: np.ndarray) -> np.ndarray:
-    """sum_k x^k/(e (e+1) ... (e+k)) = x^-e e^x gamma(e, x) (DLMF 8.7.1), for
-    e > 0 and x >= 0 (a 1-d array): one cumprod over terms enough that the
-    rest is below 5e-18 of the sum."""
-    top = float(x.max(initial=0.0))
-    d = e + np.arange(1.0, int(top + 9.0 * math.sqrt(top)) + 10)
-    return (1.0 + np.cumprod(np.divide.outer(x, d), axis=-1).sum(axis=-1)) / e
-
-
-def _gamma_fraction(e: float, x):
-    """x^-e Gamma(e, x) = e^-x/(x+1-e - 1*(1-e)/(x+3-e - 2*(2-e)/(x+5-e - ...)))
-    (DLMF 8.9.2), for x >= 1 and x > e-1, by _lentz."""
-    return np.exp(-x) / _lentz(x + 1.0 - e, lambda i: (-i * (i - e), x + 2.0 * i + 1.0 - e))
-
-
-def _gamma_tail_below(e: float, log_q: float) -> float:
-    """About the x beyond which Q = Gamma(e, x)/Gamma(e) < exp(log_q), by up to five (to 1e-3)
-    contracting fixed-point steps on the bound Q <= x^(e-1) e^-x max(1, x/(x-e+1))/Gamma(e)."""
-    shift = -math.lgamma(e) - log_q
-    x = max(e, 1.0) - log_q
-    for _ in range(5):  # no end below x = 1, where _gamma_fraction is slow and the step leaves x > 0
-        last, x = x, max(1.0, (e - 1.0) * math.log(x) + math.log(max(1.0, x / (x - e + 1.0))) + shift)
-        if abs(x - last) < 1e-3:
-            break
-    return x
+_SERIES_K = np.arange(22.0)[:, None]  # at s*y <= 1 the series' tail is below e/22! < 3e-21 of its sum
+_SERIES_SIGNS = (-1.0) ** _SERIES_K
+_LOG_FACTORIALS = np.cumsum(np.log(np.maximum(_SERIES_K, 1.0)), axis=0)
+_LADDER = np.array([0.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0])  # panel ends, in steps
+_PEAK_STEPS = 4.0  # steps per standard deviation sqrt(e-1) of the integrand's peak
+_LADDER_X = (_LADDER[:-1, None] + np.diff(_LADDER)[:, None] * 0.5 * (_jacobi_rule(0.0)[0] + 1.0)).ravel()
+_LADDER_W = (np.diff(_LADDER)[:, None] * 0.5 * _jacobi_rule(0.0)[1]).ravel()
 
 
 def _power_exp_integral(e: float, s: np.ndarray, a: float, b: float) -> np.ndarray:
-    """int_a^b y^(e-1) exp(-s*y) dy, elementwise over s > 0, for e > 0, 0 <= a
-    < b <= inf.  An end y at x = s*y gives the lower part s^-e gamma(e, x) =
-    y^e e^-x _gamma_series(e, x), or where Q = Gamma(e, x)/Gamma(e) < 1e-10
-    the upper part s^-e Gamma(e, x) = y^e _gamma_fraction(e, x), so nothing
-    close to s^-e Gamma(e) is subtracted.  An upper part is dropped where it is
-    below 2^-55 min(Gamma(e), Gamma(e+1)) (the size of a piece off y = 0 as e ->
-    0), unless it is the b end of two upper parts whose a end is kept."""
+    """int_a^b y^(e-1) exp(-s*y) dy, elementwise over s > 0, for any real e
+    (e > 0 where a = 0) and 0 <= a < b <= inf: the one routine for every
+    Laplace piece, relative wherever the value is a normal double, +inf
+    above the double range and 0 below it.  Gamma(e) s^-e on (0, inf);
+    otherwise a power series below y = 1/s and Gauss panels above."""
     if a == 0.0 and b == INF:
-        return np.exp(math.lgamma(e)) * s**-e
-    x = s * np.array([[a], [b]])
-    up = x >= _gamma_tail_below(e, _LOG_UPPER)
-    low = (x > 0.0) & ~up
-    frac = up & (x < _gamma_tail_below(e, _LOG_GONE + math.log(min(e, 1.0))))
-    frac[1] |= frac[0] & up[1] & (b < INF)
-    part = np.zeros(x.shape)
-    part[low] = np.exp(-x[low]) * _gamma_series(e, x[low])
-    part[frac] = [_gamma_fraction(e, v) for v in x[frac].tolist()]
-    lo, hi = part[0] * a**e, part[1] * (b**e if b < INF else 0.0)
-    return np.where(up[0], lo - hi, np.where(up[1], np.exp(math.lgamma(e)) * s**-e - hi - lo, hi - lo))
-
-
-def _upper_gamma(e: float, x: np.ndarray) -> np.ndarray:
-    """x^-e * Gamma(e, x), Gamma(e, x) = int_x^inf t^(e-1) exp(-t) dt, for
-    e <= 0 and x > 0 (x = inf gives 0), elementwise; laplace_transform's
-    p <= -1 pieces.  The factor x^-e keeps the value normal where Gamma(e, x)
-    is subnormal.  Below x = 1 it starts at the order e + n, n = ceil(-e),
-    from E_1(x) by its series (DLMF 6.6.2) or Gamma(e+n) less _gamma_series,
-    and lowers the order n times by DLMF 8.8.2, Gamma(a, x) = (Gamma(a+1, x)
-    - x^a e^-x)/a, scaled by x^-a; from x = 1 on, _gamma_fraction."""
-    out = np.zeros(x.shape)
-    low = x < 1.0
-    xl = x[low]
-    n = math.ceil(-e)
-    top = e + n
-    if top == 0.0:
-        k = np.arange(1.0, 21.0)  # (-x)^k/(k k!) for x < 1 is below 1e-20 from k = 20 on
-        g = -np.euler_gamma - np.log(xl) - (np.cumprod(-xl[:, None] / k, axis=1) / k).sum(axis=1)
-    else:
-        g = math.gamma(top) * xl**-top - np.exp(-xl) * _gamma_series(top, xl)
-    for a in e + np.arange(n - 1, -1, -1):
-        g = (xl * g - np.exp(-xl)) / a
-    out[low] = g
-    far = ~low & np.isfinite(x)
-    out[far] = _gamma_fraction(e, x[far])
+        return np.exp(math.lgamma(e) - e * np.log(s))
+    out = np.zeros(s.shape)
+    inv = 1.0 / s
+    below, above = inv > a, inv < b
+    if below.any():
+        out[below] = _series_part(e, s[below], a, np.minimum(b, inv[below]))
+    if above.any():
+        out[above] += _panel_part(e, s[above], np.maximum(a, inv[above]), b)
     return out
+
+
+def _series_part(e: float, s: np.ndarray, a: float, c: np.ndarray) -> np.ndarray:
+    """int_a^c y^(e-1) exp(-s*y) dy for s*c <= 1, as sum_k (-s)^k/k! I_k with
+    I_k = int_a^c y^(g-1) dy, g = e+k, each by expm1 (|g| floored at 1e-200)
+    so that none cancels near g = 0, and relative to x^e, x = c for e > 0
+    and a otherwise: no term exceeds I_0/(x^e k!), so the sum loses at most
+    a factor e^2 to cancellation."""
+    g = e + _SERIES_K
+    width = np.log(c / a) if a > 0.0 else INF
+    abs_g = np.maximum(np.abs(g), 1e-200)
+    q = -np.expm1(-abs_g * width) / abs_g  # I_k over c^g for g > 0, over a^g otherwise
+    x = c if e > 0.0 else a
+    log_terms = _SERIES_K * np.log(s * x) - _LOG_FACTORIALS
+    if e <= 0.0:  # where g > 0, I_k = c^g q_k = (c/a)^g a^g q_k
+        log_terms = log_terms + np.where(g > 0.0, g * width, 0.0)
+    return np.exp(e * np.log(x) + np.log(np.vecdot(_SERIES_SIGNS * q, np.exp(log_terms), axis=0)))
+
+
+def _panel_part(e: float, s: np.ndarray, y0: np.ndarray, b: float) -> np.ndarray:
+    """int_y0^b y^(e-1) exp(-s*y) dy for s*y0 >= 1.  In u = s*y the
+    log-integrand (e-1) log u - u is concave or decreasing, so it is largest
+    at T = s*Y, the point of the range nearest u = e-1.  Panels of 2, 2, 4,
+    ..., 64 steps h run from T up and down the range, doubling as the slope
+    of the log-integrand grows (for e < 1, falls toward 1); 1/h is the
+    larger of |slope| and min(1, _PEAK_STEPS*sqrt(|e-1|)/T) at T, or h is
+    less, so that the ladder ends where the range does, if that is sooner
+    than 36 e-folds down.  Offsets t from T keep (1 + t/T)^(e-1) e^-t on one
+    scale; Y^(e-1) e^-T / s is one exp of summed logs, with the rounding
+    error of adding -T carried."""
+    m = e - 1.0
+    y = np.minimum(np.maximum(m / s, y0), b) if m > 1.0 else y0  # else e-1 <= 1 <= s*y0
+    top = s * y
+    step = top / np.maximum(np.abs(top - m), np.minimum(top, _PEAK_STEPS * math.sqrt(abs(m))))
+    total = 0.0
+    for sign, reach in ((1.0, s * (b - y)), (-1.0, s * (y - y0)))[:2 if m > 1.0 else 1]:
+        if reach.any():  # up from T, then down where T > s*y0
+            h = np.minimum(step, reach / _LADDER[-1])
+            t = np.multiply.outer(sign * h, _LADDER_X)
+            total = total + h * (np.exp(m * np.log1p(t / top[:, None]) - t) @ _LADDER_W)
+    rest = m * np.log(y) + np.log(total / s)
+    exponent = rest - top
+    return np.exp(exponent) * np.exp((-top - exponent) + rest)  # Fast2Sum: exact where top >= |rest|
 
 
 # ---------------------------------------------------------------------------

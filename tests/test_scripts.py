@@ -116,6 +116,20 @@ def test_cert_census_prints_one_line_per_sum_norm_call(capsys, monkeypatch):
                                         f"upper={cert.upper!r}", f"lower={cert.lower!r}", f"sha={sha}"]
 
 
+def test_cert_census_prints_one_line_per_weights_op(capsys):
+    # one "<op kind> sha=<12 hex>" line per op of the round, in its order,
+    # and the same file on a second run
+    census = load_script("cert_census")
+    ops = census.workloads.ROUNDS["weights"](census.workloads.Context(census.ROOT), 42, 0)
+    runs = []
+    for _ in range(2):
+        assert census.main(["--rounds", "1", "--workload", "weights"]) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    assert [line.split()[0] for line in runs[0]] == [op.kind for op in ops]
+    assert all(len(line.split()) == 2 and len(line.split("sha=")[1]) == 12 for line in runs[0])
+
+
 def test_cold_start_reports_one_fresh_cli_process(capsys, tmp_path):
     cold = load_script("cold_start")
     assert cold.main(["-k", "1"]) == 0
