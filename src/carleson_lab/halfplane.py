@@ -186,7 +186,8 @@ def _lorentz(atoms, ranges, s: np.ndarray) -> np.ndarray:
     for t, w in atoms:
         out += w * s / (t * t + s * s)
     for c, p, lo, hi in ranges:
-        out += c * s**p * _kernel(p, lo / s, hi / s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out += c * s**p * _kernel(p, lo / s, hi / s)
         if np.isnan(out).any():  # s^p and G_p under- and overflow against each other
             raise ValueError(f"y^p on ({lo:g}, {hi:g}) leaves the double range at p={p:g}")
     return out

@@ -366,7 +366,7 @@ def power_integral(e: float, lo, hi) -> np.ndarray:
     cumulative, box_mass and halfplane's kernel G_p all use it."""
     lo = np.abs(np.asarray(lo, dtype=float))  # lo = -0.0 would make log(hi/lo) nan
     hi = np.asarray(hi, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_ratio = np.log(hi / lo)
         if e == 0.0:
             out = log_ratio
@@ -466,14 +466,10 @@ def _radial_rule(a: float, b: float, c: float, p: float, q: float, panels: int):
 # moments
 
 
-@lru_cache(maxsize=256)
 def moment_array(mu: RadialMeasure, n_max: int) -> np.ndarray:
-    """[sigma_0, ..., sigma_{n_max}]; underflows to 0 below the float floor.
-    Cached per (measure, n_max), so the array is shared and read-only."""
+    """[sigma_0, ..., sigma_{n_max}]; underflows to 0 below the float floor."""
     with np.errstate(under="ignore"):
-        sig = np.exp(log_moment_array(mu, n_max))
-    sig.flags.writeable = False
-    return sig
+        return np.exp(log_moment_array(mu, n_max))
 
 
 def log_moment_array(mu: RadialMeasure, n_max: int) -> np.ndarray:

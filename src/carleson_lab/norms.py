@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .fourier import CoeffVector, GridFunction, analyze
+from .fourier import CoeffVector, GridFunction, _plan, analyze
 from .measures import (INF, RadialMeasure, RadialPiece, _grading_depth, _panel_nodes, _radial_rule,
                        moment_array, radial_carleson)
 
@@ -37,9 +37,8 @@ def l1_norm(g: GridFunction) -> float:
 def hmu_norm(u: CoeffVector, mu: RadialMeasure) -> float:
     """sqrt(2*pi*sum |c_n|^2 sigma_|n|); also the weighted harmonic Bergman
     norm of the harmonic extension under a radial weight."""
-    sig = moment_array(mu, u.n_max)
-    with np.errstate(under="ignore"):
-        return float(math.sqrt(2.0 * math.pi * np.sum(np.abs(u.coeffs) ** 2 * sig[np.abs(u.ns)])))
+    with np.errstate(under="ignore"):  # sigma_|n| by n + N, from the moment plan
+        return float(math.sqrt(2.0 * math.pi * np.sum(np.abs(u.coeffs) ** 2 * _plan(mu, u.n_max)[0])))
 
 
 def a2_norm(u: CoeffVector, mu: RadialMeasure) -> float:

@@ -56,12 +56,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .fourier import CoeffVector, GridFunction, _to_coeffs, _to_grid, analyze, synthesize
-from .measures import RadialMeasure, moment_array
+from .fourier import CoeffVector, GridFunction, _plan, _to_coeffs, _to_grid, analyze, synthesize
+from .measures import RadialMeasure
 
 DEFAULT_TOL = 1e-5
 DEFAULT_MAX_ITERS = 200_000
@@ -98,27 +97,14 @@ class CertifiedNorm:
         }
 
 
-@lru_cache(maxsize=256)
-def _plan(mu: RadialMeasure, n_max: int):
-    """sigma_|n|, d_n = sqrt(2*pi*sigma_|n|), d^2 and 1/d^2 (0 where d = 0) by
-    n + n_max; read-only, and the same for every grid."""
-    sig = moment_array(mu, n_max)[np.abs(np.arange(-n_max, n_max + 1))]
-    d = np.sqrt(2.0 * math.pi * sig)
-    d2 = d * d
-    plan = (sig, d, d2, np.divide(1.0, d2, out=np.zeros_like(d2), where=d2 > 0.0))
-    for a in plan:
-        a.flags.writeable = False
-    return plan
-
-
 def _weak_duality(psi: np.ndarray, psi_hat: np.ndarray, u_grid: np.ndarray, d: np.ndarray):
     """Weak-duality (lower, scale) of the dual candidate psi, given by its M
     grid values and its coefficients psi_hat over |n| <= N: psi/scale meets
     both dual constraints, sup |psi_k| <= 1 and ||psi_hat/d||_2 <= 1, and
     lower = |(1/M) sum u(theta_k) conj(psi_k)|/scale.  A 0/0 term of
-    psi_hat/d (psi_hat_n = 0 where d_n = 0) makes that norm +inf, so the
-    weighted constraint is never dropped."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    psi_hat/d (psi_hat_n = 0 where d_n = 0) or an overflow makes that norm
+    +inf, so the weighted constraint is never dropped."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         q = psi_hat / d
     dh = math.sqrt(q.real.dot(q.real) + q.imag.dot(q.imag))  # np.linalg.norm's arithmetic
     if math.isnan(dh):  # a 0/0 term; max() below would drop the nan
@@ -183,7 +169,7 @@ def sum_norm(
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     n_max = u.n_max
-    sig, d, d2, inv_d2 = _plan(mu, n_max)
+    sig, d, d2, inv_d2, _, _ = _plan(mu, n_max)
     u_grid = _to_grid(u.coeffs, m)
 
     # the better single-term split seeds the upper bound, and its dual

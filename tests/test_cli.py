@@ -303,7 +303,8 @@ def test_halfplane_trunc_nan_exit_code(capsys):
     ("halfplane", "power:p=nan,b=4", "p"), ("carleson", "power:p=nan", "p"),
     ("carleson", "power:p=inf", "p"), ("carleson", "power:p=0,q=inf", "q"),
     ("carleson", "atom:r=0.5,w=inf", "w"), ("carleson", "power:p=0,c=inf", "c"),
-    ("garnett", "atom:t=inf", "t"), ("halfplane", "atom:y=inf", "y")])
+    ("garnett", "atom:t=inf", "t"), ("halfplane", "atom:y=inf", "y"), ("halfplane", "atom:y=0", "y"),
+    ("halfplane", "atom:y=-1", "y")])
 def test_nan_measure_spec_exit_code(capsys, command, spec, field):
     # each constructor check is a positive condition, which NaN fails, and
     # it bounds the value above too, so an infinite c, p, q, weight or
@@ -318,12 +319,12 @@ def test_huge_power_exponent_ends(command, p):
     # G_p lifts a part of order q < 0 by q -> q + 2 until q >= 0, which never
     # ends once q + 2 == q, and s^p times G_p(lo/s, hi/s) under- and
     # overflows at once: each spec ends within the timeout, with finite or
-    # "inf" values, or exits 2 naming p
+    # "inf" values, or exits 2 naming p, and none warns on the way
     env = dict(os.environ)  # the directory holding the imported package first, absolute
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(os.path.abspath(
         harness.__file__))), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "carleson_lab.cli", command, "--measure", f"power:p={p},a=1,b=2"],
-                          env=env, capture_output=True, text=True, timeout=30)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "carleson_lab.cli", command,
+                           "--measure", f"power:p={p},a=1,b=2"], env=env, capture_output=True, text=True, timeout=30)
     if proc.returncode == EXIT_OK:
         json.loads(proc.stdout, parse_constant=lambda c: pytest.fail(f"bare {c} in the report"))
     else:

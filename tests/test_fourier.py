@@ -9,6 +9,7 @@ import pytest
 from carleson_lab.fourier import (
     CoeffVector,
     GridFunction,
+    _plan,
     _to_coeffs,
     _to_grid,
     adapted_pair,
@@ -17,7 +18,7 @@ from carleson_lab.fourier import (
     multiplier,
     synthesize,
 )
-from carleson_lab.measures import RadialMeasure, RadialPiece, atom_disk, lebesgue_disk
+from carleson_lab.measures import RadialMeasure, RadialPiece, atom_disk, lebesgue_disk, log_moment_array, moment_array
 
 from conftest import basis_vector, random_coeff_vector, rng_for
 
@@ -36,6 +37,12 @@ def test_coeff_vector_basics():
     assert u.ns.tolist() == [-2, -1, 0, 1, 2]
     with pytest.raises(ValueError):
         CoeffVector(2, np.zeros(4))
+
+
+def test_grid_function_validation():
+    for samples in (np.zeros((2, 4)), np.zeros(0)):
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            GridFunction(samples)
 
 
 def test_is_analytic():
@@ -128,6 +135,24 @@ def test_amu_symbol_strong_decay_stays_finite():
     assert a[700 + 700] == pytest.approx(2.0**700 / math.sqrt(2.0 * math.pi), rel=1e-12)
 
 
+def test_moment_plan_cached_read_only():
+    # one cached plan per (measure, n_max), shared by equal measures and
+    # protected against writes by its callers; moment_array is a fresh exp
+    pieces = ((0.2, 0.9, 1.5, 0.5, 1.0),)
+    mu = RadialMeasure(atoms=((0.3, 2.0),), pieces=pieces)
+    plan = _plan(mu, 40)
+    assert _plan(mu, 40) is plan
+    assert _plan(RadialMeasure(atoms=((0.3, 2.0),), pieces=pieces), 40) is plan
+    for a in plan:
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        plan[0][0] = 0.0
+    sig = moment_array(mu, 40)
+    assert sig.flags.writeable and moment_array(mu, 40) is not sig
+    assert np.array_equal(sig, np.exp(log_moment_array(mu, 40)))
+    assert plan[0].tobytes() == sig[np.abs(np.arange(-40, 41))].tobytes()
+
+
 def test_adapted_pair_default():
     pair = adapted_pair(lebesgue_disk(), 4)
     # sigma_2 = 1/6, so a(2) = sqrt(3/pi); index n + 4
@@ -148,7 +173,7 @@ def test_adapted_pair_rejects_degenerate_measure():
 
 def test_adapted_pair_past_the_double_range_raises_value_error():
     # a(n) = exp(-log(2*pi*sigma_n)/2) of (1-r)^{-1/2} dr on [0, 0.9) passes
-    # 1e308 near n = 6700: the check comes before exp, so nothing warns
+    # 1e308 near n = 6700: the exp reads +inf there without a warning
     mu = RadialMeasure(pieces=((0.0, 0.9, 1.0, -0.5, 0.0),))
     assert np.all(np.isfinite(adapted_pair(mu, 3072).a))
     with warnings.catch_warnings():

@@ -50,6 +50,13 @@ def test_band_signal_validation():
     assert z.xis[0] == -2.0 and z.xis[-1] == 2.0
 
 
+def test_spatial_function_validation():
+    for x, values in ((np.linspace(0.0, 1.0, 4), np.zeros(5)), (np.zeros((2, 2)), np.zeros((2, 2))),
+                      (np.zeros(1), np.zeros(1))):
+        with pytest.raises(ValueError, match="matching 1-d"):
+            SpatialFunction(x, values)
+
+
 def test_band_signal_arithmetic_grid_guard():
     # stability_ratio compares f and g on one frequency grid
     f = band(np.ones(9), 2.0, 0.5)

@@ -4,6 +4,7 @@ independent oracles on small instances: a cvxpy second-order-cone program
 `reference_oracle` picks the first where it can run, else the second."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,7 @@ from scipy.optimize import minimize
 from carleson_lab import fourier, sumnorm
 from carleson_lab.fourier import CoeffVector, GridFunction, adapted_pair, analyze, multiplier, synthesize
 from carleson_lab.harness import random_poly
-from carleson_lab.measures import RadialMeasure, atom_disk, lebesgue_disk, moment_array, power_disk
+from carleson_lab.measures import RadialMeasure, atom_disk, lebesgue_disk, log_moment_array, moment_array, power_disk
 from carleson_lab.norms import hmu_norm, l1_norm, l2_norm
 from carleson_lab.sumnorm import dual_bound, sum_norm
 
@@ -304,9 +305,9 @@ def cert_bytes(cert) -> tuple:
 
 def test_plan_cold_and_warm_give_identical_certificates():
     cases = plan_cases()
-    sumnorm._plan.cache_clear()
+    fourier._plan.cache_clear()
     cold = [cert_bytes(sum_norm(u, mu, m=m, tol=tol, max_iters=100)) for u, mu, m, tol in cases]
-    assert sumnorm._plan.cache_info().hits > 0  # the cases share some (mu, N)
+    assert fourier._plan.cache_info().hits > 0  # the cases share some (mu, N)
     warm = [cert_bytes(sum_norm(u, mu, m=m, tol=tol, max_iters=100)) for u, mu, m, tol in cases]
     assert warm == cold
     assert {c[3] == 0 for c in cold} == {True, False}
@@ -314,21 +315,22 @@ def test_plan_cold_and_warm_give_identical_certificates():
 
 def test_plan_is_read_only_and_keyed_by_mu_and_n(lebesgue):
     # one plan per (mu, N) serves every grid; the slots n mod m live in fourier
-    plan = sumnorm._plan(lebesgue, 2)
-    assert sumnorm._plan(lebesgue, 2) is plan and len(plan) == 4
+    plan = fourier._plan(lebesgue, 2)
+    assert fourier._plan(lebesgue, 2) is plan and len(plan) == 6
     for a in plan:
         assert not a.flags.writeable
     with pytest.raises(ValueError):
         plan[1][0] = 0.0
     u = random_coeff_vector(rng_for(7), 2)
-    sumnorm._plan.cache_clear()
+    fourier._plan.cache_clear()
     for m in (5, 8, 64):
         sum_norm(u, lebesgue, m=m, tol=5e-5, max_iters=50)
-    assert sumnorm._plan.cache_info().currsize == 1
+    assert fourier._plan.cache_info().currsize == 1
     sig = moment_array(lebesgue, 2)[[2, 1, 0, 1, 2]]
-    plan = sumnorm._plan(lebesgue, 2)
+    plan = fourier._plan(lebesgue, 2)
     assert plan[0].tobytes() == sig.tobytes()
     assert plan[1].tobytes() == np.sqrt(2.0 * math.pi * sig).tobytes()
+    assert plan[5].tobytes() == adapted_pair(lebesgue, 2).a.tobytes()
     s5, s8 = fourier._slots((5,), 5), fourier._slots((5,), 8)
     assert fourier._slots((5,), 5) is s5
     assert s5.tolist() == [3, 4, 0, 1, 2] and s8.tolist() == [6, 7, 0, 1, 2]
@@ -337,6 +339,33 @@ def test_plan_is_read_only_and_keyed_by_mu_and_n(lebesgue):
         assert not s.flags.writeable
         with pytest.raises(ValueError):
             s[0] = 0
+
+
+def test_one_plan_serves_adapted_pair_sum_norm_and_hmu_norm(monkeypatch):
+    # the moments of one (mu, N) are computed once, by the plan's first miss
+    calls = []
+    monkeypatch.setattr(fourier, "log_moment_array", lambda mu, n: calls.append(n) or log_moment_array(mu, n))
+    mu, u = atom_disk(0.7), random_poly(3, 0, 8)
+    fourier._plan.cache_clear()
+    adapted_pair(mu, 8)
+    sum_norm(u, mu, m=32, max_iters=50)
+    hmu_norm(u, mu)
+    info = fourier._plan.cache_info()
+    assert (info.misses, info.hits, calls) == (1, 2, [8])
+
+
+def test_subnormal_weights_free_their_modes():
+    # sigma_n = 4^-n: 2*pi*sigma_n is subnormal for n in about 512..537 and
+    # underflows above; those modes are free, and the solve does not warn
+    mu = atom_disk(0.5)
+    sig, d, d2, inv_d2, _, _ = fourier._plan(mu, 600)
+    free = d2 == 0.0
+    assert (sig[free] > 0.0).any() and not d[free].any() and not inv_d2[free].any()
+    assert np.all(np.isfinite(inv_d2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = sum_norm(random_poly(42, 0, 600), mu, m=2404, max_iters=100)
+    assert 0.0 <= cert.lower <= cert.upper
 
 
 def test_seed_matches_synthesize_and_hmu_norm(monkeypatch):
