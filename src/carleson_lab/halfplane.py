@@ -89,6 +89,7 @@ class SpatialFunction:
         in blocks of _FOURIER_BLOCK frequencies to bound the phase matrix."""
         xis = np.asarray(xis, dtype=float)
         w = np.gradient(self.x)
+        w[[0, -1]] *= 0.5  # the trapezoidal rule's h/2 at the end nodes, as in l1
         fw = self.values * w
         out = np.empty(xis.size, dtype=complex)
         for lo in range(0, xis.size, _FOURIER_BLOCK):

@@ -5,7 +5,9 @@ Every measure is a finite list of atoms plus piecewise power-law
 densities, so moments and tail masses have closed forms (incomplete beta),
 all in numpy and math.  Moments run a stable downward recurrence from one
 log-domain continued fraction (DLMF 8.17.22), so moments far below the
-double-precision floor keep their relative accuracy.  A tail of a piece
+double-precision floor keep their relative accuracy; they are computed once
+per (measure, n_max), into the cached moment plan _plan that moment_array,
+fourier.adapted_pair, sumnorm and norms.hmu_norm read.  A tail of a piece
 reaching r = 1 is taken in delta itself.  The Laplace transform of a piece
 of any order is one routine: a power series below s*y = 1 and fixed Gauss
 panels above.  The singular integral is closed form for atoms and, for
@@ -467,9 +469,34 @@ def _radial_rule(a: float, b: float, c: float, p: float, q: float, panels: int):
 
 
 def moment_array(mu: RadialMeasure, n_max: int) -> np.ndarray:
-    """[sigma_0, ..., sigma_{n_max}]; underflows to 0 below the float floor."""
-    with np.errstate(under="ignore"):
-        return np.exp(log_moment_array(mu, n_max))
+    """[sigma_0, ..., sigma_{n_max}] from the moment plan, as a fresh array;
+    underflows to 0 below the float floor."""
+    return _plan(mu, n_max)[0][n_max:].copy()
+
+
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
+
+@lru_cache(maxsize=256)
+def _plan(mu: RadialMeasure, n_max: int):
+    """sigma_|n|, d_n = sqrt(2*pi*sigma_|n|), d^2, 1/d^2, log(2*pi*sigma_|n|) and a(n) = 1/d_n
+    (+inf past the double range) by n + n_max, from one log_moment_array call; read-only.  A mode
+    whose d^2 is not a normal double is free, d = d^2 = 1/d^2 = 0, as where sigma underflows."""
+    # a fresh moment_array builds the whole plan, so it takes few numpy calls: mirror, then form
+    ls = log_moment_array(mu, n_max)[np.abs(np.arange(-n_max, n_max + 1))]
+    log_w = math.log(2.0 * math.pi) + ls
+    with np.errstate(under="ignore", over="ignore", divide="ignore"):
+        sig, a = np.exp(ls), np.exp(-0.5 * log_w)
+        d = np.sqrt(2.0 * math.pi * sig)
+        d2 = d * d
+        free = d2 < _TINY
+        d[free] = d2[free] = 0.0
+        inv_d2 = 1.0 / d2
+    inv_d2[free] = 0.0
+    plan = (sig, d, d2, inv_d2, log_w, a)
+    for x in plan:
+        x.flags.writeable = False
+    return plan
 
 
 def log_moment_array(mu: RadialMeasure, n_max: int) -> np.ndarray:
@@ -493,12 +520,7 @@ def log_moment_array(mu: RadialMeasure, n_max: int) -> np.ndarray:
             if near.any():
                 col[near] = _log_beta_segment(2.0 * n[near] + pc.q, pc.p, pc.a, pc.b)
         logs.append(math.log(pc.c) + col)
-    if len(logs) == 1:
-        return logs[0]
-    top = np.max(logs, axis=0)
-    top[top == -INF] = 0.0  # a column of -inf (atoms at 0 alone) stays -inf
-    with np.errstate(divide="ignore"):
-        return top + np.log(np.sum(np.exp(np.vstack(logs) - top), axis=0))
+    return logs[0] if len(logs) == 1 else np.logaddexp.reduce(logs, axis=0)
 
 
 # ---------------------------------------------------------------------------

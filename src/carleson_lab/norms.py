@@ -19,8 +19,8 @@ import warnings
 
 import numpy as np
 
-from .fourier import CoeffVector, GridFunction, _plan, analyze
-from .measures import (INF, RadialMeasure, RadialPiece, _grading_depth, _panel_nodes, _radial_rule,
+from .fourier import CoeffVector, GridFunction, analyze
+from .measures import (INF, RadialMeasure, RadialPiece, _grading_depth, _panel_nodes, _plan, _radial_rule,
                        moment_array, radial_carleson)
 
 

@@ -59,8 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import CoeffVector, GridFunction, _plan, _to_coeffs, _to_grid, analyze, synthesize
-from .measures import RadialMeasure
+from .fourier import CoeffVector, GridFunction, _to_coeffs, _to_grid, analyze, synthesize
+from .measures import RadialMeasure, _plan
 
 DEFAULT_TOL = 1e-5
 DEFAULT_MAX_ITERS = 200_000

@@ -9,7 +9,6 @@ import pytest
 from carleson_lab.fourier import (
     CoeffVector,
     GridFunction,
-    _plan,
     _to_coeffs,
     _to_grid,
     adapted_pair,
@@ -18,7 +17,8 @@ from carleson_lab.fourier import (
     multiplier,
     synthesize,
 )
-from carleson_lab.measures import RadialMeasure, RadialPiece, atom_disk, lebesgue_disk, log_moment_array, moment_array
+from carleson_lab.measures import (RadialMeasure, RadialPiece, _plan, atom_disk, lebesgue_disk, log_moment_array,
+                                   moment_array)
 
 from conftest import basis_vector, random_coeff_vector, rng_for
 
@@ -27,14 +27,15 @@ def _synthesize_direct(u: CoeffVector, m: int) -> GridFunction:
     """Direct-summation oracle for the fast transform."""
     theta = 2.0 * math.pi * np.arange(m) / m
     vals = np.zeros(m, dtype=complex)
-    for n, c in zip(u.ns, u.coeffs):
+    for n, c in zip(np.arange(-u.n_max, u.n_max + 1), u.coeffs):
         vals += c * np.exp(1j * n * theta)
     return GridFunction(vals)
 
 
 def test_coeff_vector_basics():
     u = CoeffVector(2, np.array([1j, 0.0, 2.0, -1.0, 0.0]))
-    assert u.ns.tolist() == [-2, -1, 0, 1, 2]
+    assert np.arange(-u.n_max, u.n_max + 1).tolist() == [-2, -1, 0, 1, 2]
+    assert u.coeffs.dtype == complex and u.coeffs[-2 + u.n_max] == 1j  # index n + N
     with pytest.raises(ValueError):
         CoeffVector(2, np.zeros(4))
 
@@ -67,7 +68,7 @@ def test_synthesize_matches_direct_oracle():
         slow = _synthesize_direct(u, m).samples
         assert np.max(np.abs(fast - slow)) < 1e-12
         spread = np.zeros(m, dtype=complex)  # per-mode scatter: the same bits
-        for n, c in zip(u.ns, u.coeffs):
+        for n, c in zip(np.arange(-8, 9), u.coeffs):
             spread[n % m] += c
         assert np.array_equal(fast, np.fft.ifft(spread, norm="forward"))
         if m & (m - 1) == 0:  # scaling by a power of two is exact: why the goldens hold
@@ -115,7 +116,7 @@ def test_multiplier_symbol_forms():
     v2 = multiplier(u, np.array([1j, 5.0, -1.0]))
     assert v2.coeffs.tolist() == [1j, 0.0, -1.0]
     with pytest.raises(ValueError):
-        multiplier(u, np.array([1.0]))  # not aligned with u.ns
+        multiplier(u, np.array([1.0]))  # not aligned with u.coeffs
 
 
 def test_amu_symbol_lebesgue():

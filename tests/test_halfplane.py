@@ -75,6 +75,14 @@ def test_spatial_function_l1_and_fourier():
     assert np.max(np.abs(got - ref)) < 1e-8
 
 
+def test_spatial_function_fourier_is_trapezoidal_at_the_ends():
+    # h/2 at both end nodes: the transform at xi = 0 of a nonnegative
+    # function is its trapezoidal l1 norm, 1 here (h at the ends read 1.1)
+    f = SpatialFunction(np.linspace(0.0, 1.0, 11), np.ones(11))
+    assert f.fourier([0.0])[0] == pytest.approx(1.0, rel=1e-15)
+    assert f.fourier([0.0])[0].real == pytest.approx(f.l1(), rel=1e-15)
+
+
 def test_w_pi_lebesgue_constant():
     pi = lebesgue_halfplane()
     assert w_pi(pi, 2.0) == pytest.approx(1j * math.pi / 2.0)

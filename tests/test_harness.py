@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from carleson_lab import measures
 from carleson_lab.fourier import CoeffVector, adapted_pair
 from carleson_lab.harness import (
     InequalityReport,
@@ -16,6 +17,7 @@ from carleson_lab.harness import (
     fejer_kernel,
     random_poly,
 )
+from carleson_lab.norms import hmu_norm
 
 from conftest import basis_vector, zero_vector
 
@@ -79,6 +81,21 @@ def test_fejer_experiment_lebesgue(lebesgue):
     assert rows[1]["moment_partial_sum"] > r["moment_partial_sum"]
     with pytest.raises(ValueError):
         fejer_experiment(lebesgue, [])
+
+
+def test_fejer_experiment_computes_each_degree_s_moments_once(monkeypatch):
+    # sigma at the top degree comes from the moment plan that a2_norm reads
+    # there too, so each degree's moments are computed once
+    calls = []
+    log_moments = measures.log_moment_array
+    monkeypatch.setattr(measures, "log_moment_array", lambda mu, n: calls.append(n) or log_moments(mu, n))
+    measures._plan.cache_clear()
+    mu = measures.power_disk(0.5)
+    fejer_experiment(mu, [2, 8, 32])
+    assert sorted(calls) == [2, 8, 32]
+    hmu_norm(random_poly(1, 0, 40), mu)
+    sig = measures.moment_array(mu, 40)
+    assert calls[3:] == [40] and sig.flags.writeable
 
 
 def test_random_poly_deterministic():

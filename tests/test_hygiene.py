@@ -14,7 +14,8 @@ stays a test dependency: the SLSQP oracle and some references use it.
 A public module-level function of the package, and each non-dunder
 method, classmethod and property of its classes, must be read somewhere
 a real caller lives: src/ (outside its own def), bench/, scripts/ or the
-acceptance criteria.  A name that only its own unit tests reach is code
+acceptance criteria.  A method or property counts only where it is read
+as an attribute, so a local variable of the same name is no caller.  A name that only its own unit tests reach is code
 nobody needs.  In the same way each defaulted parameter of such a function
 must be passed, by keyword or at its position, by some real caller: an
 option that only tests set is an option nobody needs.
@@ -129,13 +130,15 @@ def units(path: str) -> list[ast.AST]:
         [*stmt.decorator_list, *stmt.bases, *stmt.body] if isinstance(stmt, ast.ClassDef) else [stmt])]
 
 
-def names_read(path: str) -> set[str]:
-    """Every ast.Name and ast.Attribute read in the file, except a function's
-    or method's own name read inside its body (recursion)."""
+def names_read(path: str, attributes_only: bool = False) -> set[str]:
+    """Every ast.Name and ast.Attribute read in the file (only the
+    ast.Attribute reads with attributes_only), except a function's or
+    method's own name read inside its body (recursion)."""
+    kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
     found = set()
     for unit in units(path):
         names = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(unit)
-                 if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+                 if isinstance(node, kinds) and isinstance(node.ctx, ast.Load)}
         if isinstance(unit, ast.FunctionDef):
             names.discard(unit.name)
         found |= names
@@ -176,10 +179,18 @@ def real_callers() -> list[str]:
         os.path.join(ROOT, "tests", "test_acceptance.py")]
 
 
+def unread(path: str, read: set[str], attributes: set[str]) -> list[str]:
+    """Labels of the file's definitions whose name is not read: a method or
+    property is reached only as an attribute, so a local variable of the
+    same name does not count for it."""
+    return [label for label, fn, is_method in definitions(path)
+            if fn.name not in (attributes if is_method else read)]
+
+
 def functions_without_callers() -> list[str]:
     read = set().union(*(names_read(path) for path in real_callers()))
-    return [label for path in python_files(("src",)) for label, fn, _ in definitions(path)
-            if fn.name not in read]
+    attributes = set().union(*(names_read(path, attributes_only=True) for path in real_callers()))
+    return [label for path in python_files(("src",)) for label in unread(path, read, attributes)]
 
 
 def options_without_callers(sources=None, callers=None) -> list[str]:
@@ -200,12 +211,16 @@ def test_public_functions_have_callers():
 
 
 def test_caller_scan_sees_methods(tmp_path):
+    # a local variable named like a method or property is no read of it;
+    # a module-level function may be read by its bare name
     path = tmp_path / "mod.py"
     path.write_text("class A:\n    def __len__(self): return 0\n    @property\n    def p(self): return 1\n"
                     "    @classmethod\n    def c(cls): return cls.c()\n    def _m(self): return self.p\n"
-                    "def f(): return f()\n")
-    assert [label for label, fn, _ in definitions(str(path)) if fn.name not in names_read(str(path))] == [
-        "A.c", "A._m", "f"]
+                    "    @property\n    def ns(self): return 2\n"
+                    "def f(): return f()\ndef g(): return 3\ndef h():\n    ns = g()\n    return ns\n")
+    path = str(path)
+    assert unread(path, names_read(path), names_read(path, attributes_only=True)) == [
+        "A.c", "A._m", "A.ns", "f", "h"]
 
 
 def test_public_options_have_callers():

@@ -145,8 +145,9 @@ def test_rotation_equivariance():
         rng = rng_for(12000 + i)
         u = random_coeff_vector(rng, int(rng.integers(1, 9)))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        rot = np.exp(1j * u.ns * theta)
-        symbol = rng.standard_normal(u.ns.size)  # indexed by n + N
+        ns = np.arange(-u.n_max, u.n_max + 1)
+        rot = np.exp(1j * ns * theta)
+        symbol = rng.standard_normal(ns.size)  # indexed by n + N
         left = multiplier(CoeffVector(u.n_max, u.coeffs * rot), symbol)
         right = CoeffVector(u.n_max, multiplier(u, symbol).coeffs * rot)
         assert np.max(np.abs(left.coeffs - right.coeffs)) < 1e-13 * (1 + np.max(np.abs(u.coeffs)))

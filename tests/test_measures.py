@@ -4,6 +4,7 @@ Laplace transforms, serialization."""
 import itertools
 import math
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -292,6 +293,31 @@ def test_atom_at_origin_moments():
     sig = moment_array(mu, 4)
     assert sig[0] == pytest.approx(2.0)
     assert sig[1] == pytest.approx(0.25)
+
+
+def test_atoms_at_origin_alone_sum_to_minus_inf_without_warning():
+    # every column is -inf past n = 0, and so is their log-sum-exp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ls = log_moment_array(RadialMeasure(atoms=((0.0, 1.0), (0.0, 2.0))), 8)
+    assert ls[0] == pytest.approx(math.log(3.0), rel=1e-15)
+    assert np.all(ls[1:] == -INF)
+
+
+def test_mixed_atoms_and_pieces_match_mpmath():
+    # an atom at 0, one at 0.3 and two pieces, one of them off the origin
+    atoms = ((0.0, 0.7), (0.3, 2.0))
+    pieces = (RadialPiece(0.0, 0.8, 1.5, 0.5, 1.0), RadialPiece(0.4, 1.0, 2.0, -0.5, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ls = log_moment_array(RadialMeasure(atoms=atoms, pieces=pieces), 200)
+    for n in (0, 1, 2, 5, 20, 200):
+        with mpmath.workdps(40):
+            ref = sum(w * mpmath.mpf(r) ** (2 * n) for r, w in atoms)
+            ref += sum(pc.c * (lower_beta_ref(2 * n + pc.q + 1, pc.p + 1, pc.b)
+                               - lower_beta_ref(2 * n + pc.q + 1, pc.p + 1, pc.a)) for pc in pieces)
+            ref = float(mpmath.log(ref))
+        assert abs(ls[n] - ref) <= 1e-13, (n, ls[n], ref)
 
 
 def test_tail_mass():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from carleson_lab import fourier, sumnorm
+from carleson_lab import fourier, measures, sumnorm
 from carleson_lab.fourier import CoeffVector, GridFunction, adapted_pair, analyze, multiplier, synthesize
 from carleson_lab.harness import random_poly
 from carleson_lab.measures import RadialMeasure, atom_disk, lebesgue_disk, log_moment_array, moment_array, power_disk
@@ -118,7 +118,7 @@ def test_interval_is_ordered_and_witnessed(lebesgue):
     # dual witness is feasible for both constraints
     psi = cert.dual_witness
     assert np.max(np.abs(psi.samples)) <= 1.0 + 1e-9
-    d = np.sqrt(2.0 * math.pi * moment_array(lebesgue, 8)[np.abs(u.ns)])
+    d = np.sqrt(2.0 * math.pi * moment_array(lebesgue, 8)[np.abs(np.arange(-8, 9))])
     assert np.linalg.norm(analyze(psi, 8).coeffs / d) <= 1.0 + 1e-9
 
 
@@ -305,9 +305,9 @@ def cert_bytes(cert) -> tuple:
 
 def test_plan_cold_and_warm_give_identical_certificates():
     cases = plan_cases()
-    fourier._plan.cache_clear()
+    measures._plan.cache_clear()
     cold = [cert_bytes(sum_norm(u, mu, m=m, tol=tol, max_iters=100)) for u, mu, m, tol in cases]
-    assert fourier._plan.cache_info().hits > 0  # the cases share some (mu, N)
+    assert measures._plan.cache_info().hits > 0  # the cases share some (mu, N)
     warm = [cert_bytes(sum_norm(u, mu, m=m, tol=tol, max_iters=100)) for u, mu, m, tol in cases]
     assert warm == cold
     assert {c[3] == 0 for c in cold} == {True, False}
@@ -315,19 +315,19 @@ def test_plan_cold_and_warm_give_identical_certificates():
 
 def test_plan_is_read_only_and_keyed_by_mu_and_n(lebesgue):
     # one plan per (mu, N) serves every grid; the slots n mod m live in fourier
-    plan = fourier._plan(lebesgue, 2)
-    assert fourier._plan(lebesgue, 2) is plan and len(plan) == 6
+    plan = measures._plan(lebesgue, 2)
+    assert measures._plan(lebesgue, 2) is plan and len(plan) == 6
     for a in plan:
         assert not a.flags.writeable
     with pytest.raises(ValueError):
         plan[1][0] = 0.0
     u = random_coeff_vector(rng_for(7), 2)
-    fourier._plan.cache_clear()
+    measures._plan.cache_clear()
     for m in (5, 8, 64):
         sum_norm(u, lebesgue, m=m, tol=5e-5, max_iters=50)
-    assert fourier._plan.cache_info().currsize == 1
+    assert measures._plan.cache_info().currsize == 1
     sig = moment_array(lebesgue, 2)[[2, 1, 0, 1, 2]]
-    plan = fourier._plan(lebesgue, 2)
+    plan = measures._plan(lebesgue, 2)
     assert plan[0].tobytes() == sig.tobytes()
     assert plan[1].tobytes() == np.sqrt(2.0 * math.pi * sig).tobytes()
     assert plan[5].tobytes() == adapted_pair(lebesgue, 2).a.tobytes()
@@ -344,13 +344,13 @@ def test_plan_is_read_only_and_keyed_by_mu_and_n(lebesgue):
 def test_one_plan_serves_adapted_pair_sum_norm_and_hmu_norm(monkeypatch):
     # the moments of one (mu, N) are computed once, by the plan's first miss
     calls = []
-    monkeypatch.setattr(fourier, "log_moment_array", lambda mu, n: calls.append(n) or log_moment_array(mu, n))
+    monkeypatch.setattr(measures, "log_moment_array", lambda mu, n: calls.append(n) or log_moment_array(mu, n))
     mu, u = atom_disk(0.7), random_poly(3, 0, 8)
-    fourier._plan.cache_clear()
+    measures._plan.cache_clear()
     adapted_pair(mu, 8)
     sum_norm(u, mu, m=32, max_iters=50)
     hmu_norm(u, mu)
-    info = fourier._plan.cache_info()
+    info = measures._plan.cache_info()
     assert (info.misses, info.hits, calls) == (1, 2, [8])
 
 
@@ -358,7 +358,7 @@ def test_subnormal_weights_free_their_modes():
     # sigma_n = 4^-n: 2*pi*sigma_n is subnormal for n in about 512..537 and
     # underflows above; those modes are free, and the solve does not warn
     mu = atom_disk(0.5)
-    sig, d, d2, inv_d2, _, _ = fourier._plan(mu, 600)
+    sig, d, d2, inv_d2, _, _ = measures._plan(mu, 600)
     free = d2 == 0.0
     assert (sig[free] > 0.0).any() and not d[free].any() and not inv_d2[free].any()
     assert np.all(np.isfinite(inv_d2))
